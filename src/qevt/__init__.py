@@ -2,9 +2,9 @@
 
 The package builds block-encodings of arbitrary square matrices, makes
 their powers faithful with a counter register, synthesizes signal
-processing rotations for circle-bounded polynomials, and assembles the
-full transformation circuit, always verifying the encoded block against
-a classical evaluation.
+processing rotations for circle-bounded polynomials, and applies the
+transformation circuit to obtain its encoded block, always verifying that
+block against a classical evaluation.
 """
 
 from .analytic import (
@@ -23,7 +23,6 @@ from .encoding import (
     dilate,
     regularity_order,
     regularity_profile,
-    rescale,
     top_left_block,
     verify_encoding,
 )
@@ -40,7 +39,6 @@ from .gqsp import (
     GqspSequence,
     apply_to_operator,
     complete,
-    controlled_unitary,
     evaluate_scalar,
     polynomial_roots,
     sup_norm_on_circle,
@@ -53,10 +51,7 @@ from .linalg import (
     as_polynomial,
     ensure_square,
     horner_eval,
-    kron,
-    matmul,
     operator_norm,
-    psd_sqrt,
 )
 from .regularize import RegularizedEncoding, branch_shift, incrementer, regularize
 
@@ -83,7 +78,6 @@ __all__ = [
     "branch_shift",
     "check_perturbation_bound",
     "complete",
-    "controlled_unitary",
     "counter_order_for_degree",
     "dilate",
     "disk_samples",
@@ -94,16 +88,12 @@ __all__ = [
     "incrementer",
     "jordan_block",
     "jordan_poly",
-    "kron",
-    "matmul",
     "operator_norm",
     "perturbation_bound",
     "polynomial_roots",
-    "psd_sqrt",
     "regularity_order",
     "regularity_profile",
     "regularize",
-    "rescale",
     "shifted_inverse_plan",
     "sup_norm_on_circle",
     "synthesize",

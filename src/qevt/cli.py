@@ -37,9 +37,7 @@ EXIT_NUMERIC = 4
 def _format_float(x: float) -> str:
     if x != x or x in (float("inf"), float("-inf")):
         raise ValidationError("cannot serialize non-finite float", module=_MOD)
-    text = f"{x:.17g}"
-    # keep the output valid JSON (json numbers cannot be bare '1e+05' issues etc.)
-    return text
+    return f"{x:.17g}"
 
 
 def emit_json(obj) -> str:
@@ -238,11 +236,7 @@ def _cmd_verify(args) -> int:
         unitary=unitary, ancilla_qubits=args.ancillas, system_dim=target.shape[0]
     )
     errors = encoding.regularity_profile(be, target, max(args.order, 1))
-    order = 0
-    for k, err in enumerate(errors, start=1):
-        if err > k * args.tolerance + encoding.REGULARITY_FLOOR:
-            break
-        order = k
+    order = encoding._order_from_profile(errors, args.tolerance)
     lines = [emit_json({"k": k, "error": err}) for k, err in enumerate(errors, start=1)]
     lines.append(emit_json({"order": order, "requested": args.order, "tolerance": args.tolerance}))
     _write(args.report, "\n".join(lines))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NormBoundError, ValidationError
-from .linalg import adjoint, as_matrix, ensure_square, operator_norm
+from .linalg import adjoint, ensure_square, operator_norm
 
 _MOD = "encoding"
 
@@ -62,13 +62,6 @@ def top_left_block(be: BlockEncoding) -> np.ndarray:
     return be.unitary[:d, :d].copy()
 
 
-def rescale(a) -> tuple[np.ndarray, float]:
-    """Return (A / alpha, alpha) with alpha = max(1, ||A||), so the result is encodable."""
-    a = as_matrix(a)
-    alpha = max(1.0, operator_norm(a))
-    return a / alpha, alpha
-
-
 def dilate(a_mat) -> BlockEncoding:
     """Exact one-ancilla block-encoding of a contraction A.
 
@@ -81,8 +74,7 @@ def dilate(a_mat) -> BlockEncoding:
     norm = operator_norm(a)
     if norm > 1.0 + NORM_SLACK:
         raise NormBoundError(
-            f"cannot dilate: ||A|| = {norm:.12g} > 1; divide by the norm first "
-            "(rescale(A) returns (A/alpha, alpha))",
+            f"cannot dilate: ||A|| = {norm:.12g} > 1; divide by the norm first",
             module=_MOD,
             norm=norm,
         )
@@ -141,9 +133,14 @@ def regularity_order(be: BlockEncoding, a_mat, tol: float, k_max: int) -> int:
             f"not a block-encoding at tolerance {tol:.3e}: k=1 error is {errors[0]:.3e}",
             module=_MOD,
         )
-    order = k_max
+    return _order_from_profile(errors, tol)
+
+
+def _order_from_profile(errors: list[float], tol: float) -> int:
+    """Largest k with errors[j-1] <= j*tol + 1e-10 for all j <= k (0 if k = 1 fails)."""
+    order = 0
     for k, err in enumerate(errors, start=1):
         if err > k * tol + REGULARITY_FLOOR:
-            order = k - 1
             break
+        order = k
     return order

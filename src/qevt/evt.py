@@ -3,8 +3,9 @@
 Pipeline: dilate the matrix into a one-ancilla block-encoding, wrap it
 with a counter register so the first n powers are faithful, synthesize
 the processing rotations for the target polynomial, and interleave them
-with the controlled encoding. The top-left block of the result is P(A),
-verified against a classical Horner evaluation.
+with the controlled encoding. Only the top-left block of that circuit is
+computed, by carrying its d ancilla-zero columns through it; the block is
+P(A), verified against a classical Horner evaluation.
 
 The pipeline is total on square inputs: a matrix with norm above one is
 divided by its norm and the polynomial coefficients absorb the factor
@@ -18,27 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil, log2
-from typing import Callable
 
 import numpy as np
 
 from .encoding import dilate, top_left_block
 from .errors import ValidationError
-from .gqsp import (
-    GqspSequence,
-    controlled_unitary,
-    evaluate_scalar,
-    sup_norm_on_circle,
-    synthesize,
-)
-from .linalg import (
-    PolynomialSpec,
-    as_polynomial,
-    ensure_square,
-    horner_eval,
-    kron,
-    operator_norm,
-)
+from .gqsp import GqspSequence, _signal_block, evaluate_scalar, sup_norm_on_circle, synthesize
+from .linalg import PolynomialSpec, as_polynomial, ensure_square, horner_eval, operator_norm
 from .regularize import RegularizedEncoding, regularize
 
 _MOD = "evt"
@@ -72,32 +59,24 @@ def counter_order_for_degree(degree: int) -> int:
     return 2 ** ceil(log2(degree))
 
 
-def assemble_circuit(
-    seq: GqspSequence,
-    reg: RegularizedEncoding,
-    *,
-    on_encoding_call: Callable[[], None] | None = None,
-) -> np.ndarray:
-    """Interleave processing rotations with the controlled regularized encoding.
+def assemble_circuit(seq: GqspSequence, reg: RegularizedEncoding) -> np.ndarray:
+    """Top-left d x d block of the circuit interleaving rotations and encoding.
 
-    Matrix product (R_0 x I) C(U) (R_1 x I) ... C(U) (R_n x I), the
-    processing qubit most significant and the entire regularized unitary
-    controlled as one unit. ``on_encoding_call`` fires once per controlled
-    application, i.e. degree-many times.
+    The circuit is (R_0 x I) C(U) (R_1 x I) ... C(U) (R_n x I), the
+    processing qubit most significant and the entire regularized unitary U
+    controlled as one unit, with degree-many applications of U. The block
+    is computed from the d columns with every ancilla at zero, and neither
+    the circuit nor U is formed.
     """
     if seq.degree > reg.order:
         raise ValidationError(
             f"sequence degree {seq.degree} exceeds encoding regularity order {reg.order}",
             module=_MOD,
         )
-    eye = np.eye(reg.base.dim, dtype=np.complex128)
-    cu = controlled_unitary(reg.base.unitary)
-    circuit = kron(seq.rotations[0], eye)
-    for rot in seq.rotations[1:]:
-        if on_encoding_call is not None:
-            on_encoding_call()
-        circuit = circuit @ cu @ kron(rot, eye)
-    return circuit
+    d = reg.source.system_dim
+    x = np.zeros((reg.order, reg.source.dim, d), dtype=np.complex128)
+    x[0, :d] = np.eye(d)
+    return _signal_block(seq, reg.apply, x)[0, :d]
 
 
 def perturbation_bound(degree: int, eps: float) -> float:
@@ -142,14 +121,13 @@ def transform(a_mat, p, *, residual_grid: int = 1024) -> TransformReport:
     """Block-encode P(A) for an arbitrary square A and compare with Horner.
 
     Builds dilation -> counter regularization at order 2^ceil(log2 deg) ->
-    rotation synthesis -> assembled circuit, extracts the encoded block, and
+    rotation synthesis -> the circuit's encoded block (assemble_circuit), and
     reports the achieved operator-norm error against horner_eval(p, a_mat)
     plus an a-priori bound (perturbation bound at the measured encoding
     error, plus the measured synthesis residual).
     """
     a = ensure_square(a_mat, name="matrix")
     p = as_polynomial(p)
-    d = a.shape[0]
 
     alpha = operator_norm(a)
     if alpha > 1.0 + 1e-12:
@@ -167,17 +145,11 @@ def transform(a_mat, p, *, residual_grid: int = 1024) -> TransformReport:
     reg = regularize(encoding, order)
     seq = synthesize(p_enc)
 
-    calls = [0]
-
-    def count() -> None:
-        calls[0] += 1
-
-    circuit = assemble_circuit(seq, reg, on_encoding_call=count)
-    result = circuit[:d, :d] / seq.scale
+    result = assemble_circuit(seq, reg) / seq.scale
     oracle = horner_eval(p, a)
     achieved = operator_norm(result - oracle)
 
-    encoding_eps = operator_norm(top_left_block(reg.base) - a_enc)
+    encoding_eps = operator_norm(top_left_block(encoding) - a_enc)
     theta = 2 * np.pi * np.arange(residual_grid) / residual_grid
     pts = np.exp(1j * theta)
     synth_residual = float(
@@ -191,7 +163,7 @@ def transform(a_mat, p, *, residual_grid: int = 1024) -> TransformReport:
         achieved_error=achieved,
         predicted_bound=predicted,
         total_ancillas=1 + reg.counter_qubits + reg.source_ancillas,
-        circuit_dim=circuit.shape[0],
+        circuit_dim=2 * order * encoding.dim,
         encoding_scale=seq.scale,
-        controlled_calls=calls[0],
+        controlled_calls=seq.degree,
     )

@@ -10,7 +10,10 @@ Synthesis runs in two stages: complete P to a pair (P, Q) with
 |P|^2 + |Q|^2 = 1 on the circle (Fejer-Riesz factorization of 1 - |P|^2
 by root pairing), then strip one rotation per degree from the pair.
 Replacing diag(1, z) with the controlled unitary diag(I, U) lifts the
-scalar identity to a block-encoding of P(U) for unitary U.
+scalar identity to a block-encoding of P(U) for unitary U. That circuit
+is applied, never formed: the d columns entering with the processing
+qubit at zero are carried through it, and only the block they leave in
+the processing-0 half is returned.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NormBoundError, NumericalError, ValidationError
-from .linalg import PolynomialSpec, as_polynomial, ensure_square, kron, operator_norm
+from .linalg import PolynomialSpec, as_polynomial, ensure_square, operator_norm
 
 _MOD = "gqsp"
 
@@ -295,30 +298,27 @@ def evaluate_scalar(seq: GqspSequence, z):
     return complex(values) if np.isscalar(z) or np.shape(z) == () else values
 
 
-def controlled_unitary(u) -> np.ndarray:
-    """diag(I, U): apply U when the (most significant) control qubit is one."""
-    u = ensure_square(u, name="controlled unitary")
-    d = u.shape[0]
-    out = np.zeros((2 * d, 2 * d), dtype=np.complex128)
-    out[:d, :d] = np.eye(d)
-    out[d:, d:] = u
-    return out
+def _signal_block(seq: GqspSequence, signal, x: np.ndarray) -> np.ndarray:
+    """Processing-0 half of (R_0 x I) C(W) (R_1 x I) ... C(W) (R_n x I) [x; 0].
+
+    ``signal`` applies the controlled operator W to the processing-1 half;
+    the circuit matrix is never formed.
+    """
+    state = np.multiply.outer(seq.rotations[-1][:, 0], x)  # R_n [x; 0]
+    for rot in seq.rotations[-2::-1]:
+        state[1] = signal(state[1])
+        state = (rot @ state.reshape(2, -1)).reshape(state.shape)
+    return state[0]
 
 
 def apply_to_operator(seq: GqspSequence, u) -> np.ndarray:
-    """Full circuit (R_0 x I) C(U) (R_1 x I) ... C(U) (R_n x I) for a unitary U.
+    """Top-left d x d block of (R_0 x I) C(U) (R_1 x I) ... C(U) (R_n x I).
 
-    With the processing qubit most significant, its top-left d x d block is
-    the realized polynomial applied to U.
+    C(U) = diag(I, U) with the processing qubit most significant; the block
+    is the realized polynomial applied to the unitary U.
     """
     u = ensure_square(u, name="signal unitary")
     defect = operator_norm(u.conj().T @ u - np.eye(u.shape[0]))
     if defect > 1e-9:
         raise ValidationError(f"signal operator is not unitary: defect {defect:.3e}", module=_MOD)
-    d = u.shape[0]
-    eye = np.eye(d, dtype=np.complex128)
-    cu = controlled_unitary(u)
-    circuit = kron(seq.rotations[0], eye)
-    for rot in seq.rotations[1:]:
-        circuit = circuit @ cu @ kron(rot, eye)
-    return circuit
+    return _signal_block(seq, lambda v: u @ v, np.eye(u.shape[0], dtype=np.complex128))

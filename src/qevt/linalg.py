@@ -17,9 +17,6 @@ from .errors import ValidationError
 
 _MOD = "linalg"
 
-HERMITIAN_TOL = 1e-8
-NEGATIVE_EIG_TOL = -1e-8
-
 
 def as_matrix(values, *, name: str = "matrix") -> np.ndarray:
     """Coerce to a validated complex matrix (2-D, nonempty, finite)."""
@@ -45,52 +42,12 @@ def adjoint(a: np.ndarray) -> np.ndarray:
     return a.conj().T
 
 
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with an explicit conformability check."""
-    a = as_matrix(a, name="left factor")
-    b = as_matrix(b, name="right factor")
-    if a.shape[1] != b.shape[0]:
-        raise ValidationError(
-            f"cannot multiply shapes {a.shape} x {b.shape}: inner dimensions differ",
-            module=_MOD,
-        )
-    return a @ b
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product; the first factor is the more significant register."""
-    return np.kron(as_matrix(a, name="left factor"), as_matrix(b, name="right factor"))
-
-
 def operator_norm(a) -> float:
     """Largest singular value, via the Hermitian eigenvalues of A^dag A."""
     a = as_matrix(a)
     gram = a.conj().T @ a
     evals = np.linalg.eigvalsh(gram)
     return float(np.sqrt(max(float(evals[-1]), 0.0)))
-
-
-def psd_sqrt(h) -> np.ndarray:
-    """Hermitian PSD square root S with S @ S == h.
-
-    Small negative eigenvalues (>= -1e-8) are clamped to zero so that
-    contractions sitting exactly on the norm-1 boundary do not fail from
-    floating-point noise.
-    """
-    h = ensure_square(h, name="psd matrix")
-    herm_defect = operator_norm(h - h.conj().T)
-    if herm_defect > HERMITIAN_TOL:
-        raise ValidationError(
-            f"matrix is not Hermitian: ||h - h^dag|| = {herm_defect:.3e}", module=_MOD
-        )
-    sym = (h + h.conj().T) / 2
-    w, v = np.linalg.eigh(sym)
-    if float(w[0]) < NEGATIVE_EIG_TOL:
-        raise ValidationError(
-            f"matrix is not PSD: smallest eigenvalue {float(w[0]):.3e}", module=_MOD
-        )
-    s = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-    return (s + s.conj().T) / 2
 
 
 @dataclass(frozen=True)

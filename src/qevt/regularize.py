@@ -13,36 +13,63 @@ Register order, most significant first: counter (C), original ancillas
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .encoding import BlockEncoding
 from .errors import ValidationError
-from .linalg import kron
 
 _MOD = "regularize"
 
 
 @dataclass(frozen=True, eq=False)
 class RegularizedEncoding:
-    """A block-encoding wrapped with a counter register of width b, order n = 2^b."""
+    """A block-encoding wrapped with a counter register of width b, order n = 2^b.
 
-    base: BlockEncoding
-    counter_qubits: int
+    Only ``source`` and ``order`` are stored: ``apply`` acts with the wrapped
+    unitary without forming it, and ``base`` builds the dense wrapped
+    encoding on first access.
+    """
+
+    source: BlockEncoding
     order: int
-    source_ancillas: int
 
     def __post_init__(self):
-        if self.base.ancilla_qubits != self.counter_qubits + self.source_ancillas:
-            raise ValidationError(
-                "ancilla accounting broken: "
-                f"{self.base.ancilla_qubits} != {self.counter_qubits} + {self.source_ancillas}",
-                module=_MOD,
-            )
-        if self.order != 2**self.counter_qubits:
-            raise ValidationError(
-                f"order {self.order} != 2^{self.counter_qubits}", module=_MOD
-            )
+        _power_of_two_exponent(self.order)
+
+    @property
+    def counter_qubits(self) -> int:
+        return self.order.bit_length() - 1
+
+    @property
+    def source_ancillas(self) -> int:
+        return self.source.ancilla_qubits
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """The wrapped unitary applied to x of shape (order, 2^a * d, c).
+
+        Axis 0 is the counter C, axis 1 the source register O x S. The
+        source unitary acts on every counter value; then the rows with O
+        not all-zero (index >= d) move one counter value up, cyclically.
+        """
+        y = self.source.unitary @ x
+        d = self.source.system_dim
+        y[:, d:] = np.roll(y[:, d:], 1, axis=0)
+        return y
+
+    @cached_property
+    def base(self) -> BlockEncoding:
+        """The dense wrapped encoding branch_shift(n, a, d) . (I_n x U); the source if n = 1."""
+        be = self.source
+        if self.order == 1:
+            return be
+        return BlockEncoding(
+            unitary=branch_shift(self.order, be.ancilla_qubits, be.system_dim)
+            @ np.kron(np.eye(self.order), be.unitary),
+            ancilla_qubits=self.counter_qubits + be.ancilla_qubits,
+            system_dim=be.system_dim,
+        )
 
 
 def _power_of_two_exponent(n: int) -> int:
@@ -84,23 +111,8 @@ def branch_shift(n: int, a: int, d: int) -> np.ndarray:
 def regularize(be: BlockEncoding, n: int) -> RegularizedEncoding:
     """Wrap a block-encoding so its first n powers encode the matrix powers.
 
-    The returned unitary is branch_shift(n, a, d) . (I_n x U) with b + a
+    The wrapped unitary is branch_shift(n, a, d) . (I_n x U) with b + a
     ancillas; its top-left block is identical to the input's, so the
     encoding error at k = 1 is untouched.
     """
-    b = _power_of_two_exponent(n)
-    if b == 0:
-        return RegularizedEncoding(
-            base=be, counter_qubits=0, order=1, source_ancillas=be.ancilla_qubits
-        )
-    u_reg = branch_shift(n, be.ancilla_qubits, be.system_dim) @ kron(
-        np.eye(n), be.unitary
-    )
-    wrapped = BlockEncoding(
-        unitary=u_reg,
-        ancilla_qubits=b + be.ancilla_qubits,
-        system_dim=be.system_dim,
-    )
-    return RegularizedEncoding(
-        base=wrapped, counter_qubits=b, order=n, source_ancillas=be.ancilla_qubits
-    )
+    return RegularizedEncoding(source=be, order=n)

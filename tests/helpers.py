@@ -44,20 +44,6 @@ def random_polynomial(
     return PolynomialSpec(coeffs * (sup / grid_sup(coeffs)))
 
 
-def naive_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Triple-loop product, the textbook definition."""
-    rows, inner = a.shape
-    cols = b.shape[1]
-    out = np.zeros((rows, cols), dtype=np.complex128)
-    for i in range(rows):
-        for j in range(cols):
-            acc = 0.0 + 0.0j
-            for k in range(inner):
-                acc += a[i, k] * b[k, j]
-            out[i, j] = acc
-    return out
-
-
 def naive_poly_apply(coeffs, a: np.ndarray) -> np.ndarray:
     """Sum of independently computed matrix powers (no Horner)."""
     out = np.zeros_like(np.asarray(a, dtype=np.complex128))
@@ -69,3 +55,18 @@ def naive_poly_apply(coeffs, a: np.ndarray) -> np.ndarray:
 def opnorm(a: np.ndarray) -> float:
     """SVD operator norm; independent of the library's eigensolver route."""
     return float(np.linalg.norm(a, 2))
+
+
+def dense_circuit(seq, u: np.ndarray) -> np.ndarray:
+    """Reference circuit (R_0 x I) C(U) (R_1 x I) ... C(U) (R_n x I) by dense products.
+
+    C(U) = diag(I, U), the processing qubit most significant.
+    """
+    dim = u.shape[0]
+    eye = np.eye(dim, dtype=np.complex128)
+    zero = np.zeros((dim, dim), dtype=np.complex128)
+    cu = np.block([[eye, zero], [zero, u]])
+    circuit = np.kron(seq.rotations[0], eye)
+    for rot in seq.rotations[1:]:
+        circuit = circuit @ cu @ np.kron(rot, eye)
+    return circuit

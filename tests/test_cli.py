@@ -202,6 +202,20 @@ class TestVerifyCommand:
         summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert summary["order"] == 1
 
+    def test_not_an_encoding_reports_order_zero(self, tmp_path):
+        # k = 1 already fails: a threshold miss (exit 1), not an input error
+        a = random_contraction(rng_for(10), 2, 0.8)
+        unitary = write_matrix(tmp_path / "u.json", np.asarray(dilate(a).unitary))
+        matrix = write_matrix(tmp_path / "a.json", a + 0.1 * np.eye(2))
+        report = tmp_path / "report.jsonl"
+        code = cli.main(
+            ["verify", unitary, matrix, "--ancillas", "1", "--order", "2",
+             "--report", str(report)]
+        )
+        assert code == 1
+        summary = json.loads(report.read_text().strip().splitlines()[-1])
+        assert summary["order"] == 0
+
     def test_bare_unitary_is_arbitrarily_regular(self, tmp_path):
         u = random_unitary(rng_for(9), 3)
         unitary = write_matrix(tmp_path / "u.json", u)

@@ -5,7 +5,6 @@ from qevt.encoding import (
     BlockEncoding,
     dilate,
     regularity_order,
-    rescale,
     top_left_block,
     verify_encoding,
 )
@@ -74,16 +73,6 @@ class TestDilate:
         with pytest.raises(NormBoundError) as excinfo:
             dilate(a)
         assert excinfo.value.norm == pytest.approx(1.5, abs=1e-9)
-
-    def test_rescale_helper(self):
-        a = np.eye(2) * 2.5
-        scaled, alpha = rescale(a)
-        assert alpha == pytest.approx(2.5, abs=1e-12)
-        assert np.allclose(scaled, np.eye(2))
-        small = np.eye(2) * 0.5
-        unchanged, alpha = rescale(small)
-        assert alpha == 1.0
-        assert np.allclose(unchanged, small)
 
     def test_boundary_contraction(self):
         # norm exactly 1 must not fail and must verify tightly

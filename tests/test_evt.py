@@ -12,9 +12,10 @@ from qevt.evt import (
 )
 from qevt.gqsp import synthesize
 from qevt.linalg import PolynomialSpec, horner_eval
-from qevt.regularize import RegularizedEncoding, regularize
+from qevt.regularize import regularize
 
 from helpers import (
+    dense_circuit,
     opnorm,
     random_complex,
     random_contraction,
@@ -40,26 +41,22 @@ class TestAssembleCircuit:
         a = random_contraction(rng_for(0), 3, 0.5)
         reg = regularize(dilate(a), 1)
         seq = synthesize(PolynomialSpec([0.25 + 0.1j]))
-        calls = []
-        circuit = assemble_circuit(seq, reg, on_encoding_call=lambda: calls.append(1))
-        assert not calls
-        assert circuit.shape == (12, 12)
-        assert opnorm(circuit[:3, :3] - (0.25 + 0.1j) * np.eye(3)) <= 1e-10
+        block = assemble_circuit(seq, reg)
+        assert block.shape == (3, 3)
+        assert opnorm(block - (0.25 + 0.1j) * np.eye(3)) <= 1e-10
 
     def test_identity_polynomial_on_unitary(self):
         u = random_unitary(rng_for(1), 3)
         be = BlockEncoding(unitary=u, ancilla_qubits=0, system_dim=3)
-        reg = RegularizedEncoding(base=be, counter_qubits=0, order=1, source_ancillas=0)
-        circuit = assemble_circuit(synthesize(PolynomialSpec([0.0, 1.0])), reg)
-        assert opnorm(circuit[:3, :3] - u) <= 1e-10
+        block = assemble_circuit(synthesize(PolynomialSpec([0.0, 1.0])), regularize(be, 1))
+        assert opnorm(block - u) <= 1e-10
 
     def test_worked_two_regular_average(self):
         a = random_contraction(rng_for(2), 3, 0.8)
         reg = regularize(dilate(a), 2)
         seq = synthesize(AVERAGING)
-        circuit = assemble_circuit(seq, reg)
         expected = (np.eye(3) + a @ a) / 2
-        assert opnorm(circuit[:3, :3] / seq.scale - expected) <= 1e-10
+        assert opnorm(assemble_circuit(seq, reg) / seq.scale - expected) <= 1e-10
 
     def test_degree_above_order_rejected(self):
         a = random_contraction(rng_for(3), 2, 0.5)
@@ -68,12 +65,23 @@ class TestAssembleCircuit:
         with pytest.raises(ValidationError, match="order"):
             assemble_circuit(seq, reg)
 
-    def test_full_circuit_is_unitary(self):
-        a = random_contraction(rng_for(5), 3, 0.8)
-        reg = regularize(dilate(a), 4)
-        seq = synthesize(random_polynomial(rng_for(6), 4, sup=0.9))
-        circuit = assemble_circuit(seq, reg)
-        assert opnorm(circuit.conj().T @ circuit - np.eye(circuit.shape[0])) <= 1e-9
+    def test_block_matches_dense_circuit(self):
+        rng = rng_for(5)
+        for degree, order in ((0, 1), (1, 1), (1, 2), (4, 4), (4, 8)):
+            a = random_contraction(rng, 3, 0.8)
+            reg = regularize(dilate(a), order)
+            seq = synthesize(random_polynomial(rng, degree, sup=0.9))
+            reference = dense_circuit(seq, reg.base.unitary)
+            assert opnorm(reference.conj().T @ reference - np.eye(reference.shape[0])) <= 1e-9
+            block = assemble_circuit(seq, reg)
+            assert block.shape == (3, 3)
+            assert opnorm(block - reference[:3, :3]) <= 1e-13
+
+    def test_dense_encoding_is_never_built(self):
+        rng = rng_for(6)
+        reg = regularize(dilate(random_contraction(rng, 3, 0.8)), 4)
+        assemble_circuit(synthesize(random_polynomial(rng, 4, sup=0.9)), reg)
+        assert "base" not in vars(reg)
 
 
 class TestTransform:
@@ -119,6 +127,16 @@ class TestTransform:
             assert report.controlled_calls == deg
             assert report.total_ancillas == 1 + int(np.ceil(np.log2(deg))) + 1
             assert report.circuit_dim == 2 * counter_order_for_degree(deg) * 2 * 3
+
+    def test_circuit_dim_4096_matches_horner(self):
+        rng = rng_for(15)
+        a = random_contraction(rng, 32, 0.9)
+        p = random_polynomial(rng, 32, sup=0.9)
+        report = transform(a, p)
+        assert report.circuit_dim == 4096
+        assert report.total_ancillas == 7  # processing + 5 counter + 1 dilation
+        assert report.controlled_calls == 32
+        assert opnorm(report.result_block - horner_eval(p, a)) <= 1e-9
 
     def test_report_error_is_recomputable(self):
         a = random_contraction(rng_for(10), 3, 0.7)

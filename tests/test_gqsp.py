@@ -6,7 +6,6 @@ from qevt.gqsp import (
     GqspSequence,
     apply_to_operator,
     complete,
-    controlled_unitary,
     evaluate_scalar,
     polynomial_roots,
     sup_norm_on_circle,
@@ -16,6 +15,7 @@ from qevt.linalg import PolynomialSpec, horner_eval
 
 from helpers import (
     circle_grid,
+    dense_circuit,
     grid_sup,
     opnorm,
     random_complex,
@@ -190,12 +190,16 @@ class TestApplyToOperator:
         circuit = apply_to_operator(synthesize(p), u)
         assert opnorm(circuit[:4, :4] - horner_eval(p, u)) <= 1e-9
 
-    def test_circuit_is_unitary(self):
+    def test_block_matches_dense_circuit(self):
         rng = rng_for(11)
-        p = random_polynomial(rng, 5, sup=0.9)
-        u = random_unitary(rng, 3)
-        circuit = apply_to_operator(synthesize(p), u)
-        assert opnorm(circuit.conj().T @ circuit - np.eye(6)) <= 1e-10
+        for degree in (0, 1, 4):
+            seq = synthesize(random_polynomial(rng, degree, sup=0.9))
+            u = random_unitary(rng, 3)
+            reference = dense_circuit(seq, u)
+            assert opnorm(reference.conj().T @ reference - np.eye(6)) <= 1e-10
+            block = apply_to_operator(seq, u)
+            assert block.shape == (3, 3)
+            assert opnorm(block - reference[:3, :3]) <= 1e-13
 
     def test_diagonal_unitary_maps_eigenvalues(self):
         rng = rng_for(12)
@@ -208,12 +212,6 @@ class TestApplyToOperator:
         seq = synthesize(PolynomialSpec([0.5]))
         with pytest.raises(ValidationError, match="unitary"):
             apply_to_operator(seq, np.eye(2) * 0.5)
-
-    def test_controlled_unitary_layout(self):
-        u = random_unitary(rng_for(13), 2)
-        cu = controlled_unitary(u)
-        assert np.allclose(cu[:2, :2], np.eye(2))
-        assert np.allclose(cu[2:, 2:], u)
 
 
 class TestCircleInvariants:

@@ -2,46 +2,9 @@ import numpy as np
 import pytest
 
 from qevt.errors import ValidationError
-from qevt.linalg import (
-    PolynomialSpec,
-    horner_eval,
-    kron,
-    matmul,
-    operator_norm,
-    psd_sqrt,
-)
+from qevt.linalg import PolynomialSpec, horner_eval, operator_norm
 
-from helpers import naive_matmul, naive_poly_apply, opnorm, random_complex, rng_for
-
-X = np.array([[0, 1], [1, 0]], dtype=complex)
-
-
-class TestMatmul:
-    def test_identity(self):
-        rng = rng_for(0)
-        a = random_complex(rng, (3, 3))
-        assert np.allclose(matmul(np.eye(3), a), a)
-
-    def test_involution(self):
-        assert np.allclose(matmul(X, X), np.eye(2))
-
-    def test_matches_triple_loop(self):
-        rng = rng_for(1)
-        a = random_complex(rng, (3, 3))
-        b = random_complex(rng, (3, 3))
-        assert np.max(np.abs(matmul(a, b) - naive_matmul(a, b))) <= 1e-13
-
-    def test_dimension_mismatch_names_shapes(self):
-        with pytest.raises(ValidationError, match=r"\(2, 3\) x \(2, 2\)"):
-            matmul(np.ones((2, 3)), np.ones((2, 2)))
-
-    def test_associativity(self):
-        rng = rng_for(2)
-        for _ in range(5):
-            a, b, c = (random_complex(rng, (4, 4)) for _ in range(3))
-            left = matmul(matmul(a, b), c)
-            right = matmul(a, matmul(b, c))
-            assert opnorm(left - right) <= 1e-12 * max(1.0, opnorm(left))
+from helpers import naive_poly_apply, opnorm, random_complex, rng_for
 
 
 class TestOperatorNorm:
@@ -85,35 +48,6 @@ class TestOperatorNorm:
                     np.linalg.matrix_power(a, k) - np.linalg.matrix_power(b, k)
                 )
                 assert lhs <= k * operator_norm(a - b) + 1e-10
-
-
-class TestPsdSqrt:
-    def test_identity(self):
-        assert np.allclose(psd_sqrt(np.eye(3)), np.eye(3))
-
-    def test_diagonal(self):
-        assert np.allclose(psd_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]))
-
-    def test_squaring(self):
-        rng = rng_for(7)
-        b = random_complex(rng, (5, 5))
-        h = b.conj().T @ b
-        s = psd_sqrt(h)
-        assert opnorm(s @ s - h) <= 1e-9
-        assert opnorm(s - s.conj().T) <= 1e-12
-
-    def test_rejects_non_hermitian(self):
-        rng = rng_for(8)
-        with pytest.raises(ValidationError, match="Hermitian"):
-            psd_sqrt(random_complex(rng, (3, 3)))
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValidationError, match="PSD"):
-            psd_sqrt(np.diag([1.0, -0.5]))
-
-    def test_clamps_boundary_noise(self):
-        s = psd_sqrt(np.diag([1.0, -1e-9]))
-        assert np.allclose(s, np.diag([1.0, 0.0]), atol=1e-4)
 
 
 class TestPolynomialSpec:
@@ -169,27 +103,3 @@ class TestHornerEval:
     def test_rejects_non_square(self):
         with pytest.raises(ValidationError):
             horner_eval(PolynomialSpec([1.0]), np.ones((2, 3)))
-
-
-class TestKron:
-    def test_left_factor_identity(self):
-        rng = rng_for(11)
-        a = random_complex(rng, (2, 2))
-        out = kron(np.eye(2), a)
-        assert np.allclose(out[:2, :2], a)
-        assert np.allclose(out[2:, 2:], a)
-        assert np.allclose(out[:2, 2:], 0)
-
-    def test_swap_blocks(self):
-        out = kron(X, np.eye(2))
-        assert np.allclose(out[:2, 2:], np.eye(2))
-        assert np.allclose(out[2:, :2], np.eye(2))
-        assert np.allclose(out[:2, :2], 0)
-
-    def test_mixed_product(self):
-        rng = rng_for(12)
-        a, c = (random_complex(rng, (2, 3)) for _ in range(2))
-        b, d_ = (random_complex(rng, (3, 2)) for _ in range(2))
-        lhs = kron(a, b) @ kron(c.T, d_.T)
-        rhs = kron(a @ c.T, b @ d_.T)
-        assert np.max(np.abs(lhs - rhs)) <= 1e-13

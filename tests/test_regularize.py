@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from qevt.encoding import dilate, top_left_block
+from qevt.encoding import BlockEncoding, dilate, top_left_block
 from qevt.errors import ValidationError
 from qevt.linalg import horner_eval
 from qevt.regularize import branch_shift, incrementer, regularize
 
-from helpers import opnorm, random_complex, random_contraction, rng_for
+from helpers import opnorm, random_complex, random_contraction, random_unitary, rng_for
 
 # a fixed generic 2x2 contraction for the worked 2-regular example
 FIXTURE_A = np.array(
@@ -136,6 +136,22 @@ class TestRegularize:
         be = dilate(np.zeros((2, 2)))
         with pytest.raises(ValidationError):
             regularize(be, 3)
+
+
+class TestApply:
+    def test_matches_dense_unitary(self):
+        rng = rng_for(6)
+        for n in (1, 2, 4, 8):
+            for a in (0, 1, 2):
+                for d in (1, 3):
+                    dim = 2**a * d
+                    be = BlockEncoding(
+                        unitary=random_unitary(rng, dim), ancilla_qubits=a, system_dim=d
+                    )
+                    reg = regularize(be, n)
+                    x = random_complex(rng, (n, dim, 2))
+                    dense = reg.base.unitary @ x.reshape(n * dim, 2)
+                    assert opnorm(reg.apply(x).reshape(n * dim, 2) - dense) <= 1e-13
 
 
 class TestTwoRegularWorkedExample:
