@@ -53,7 +53,7 @@ from .linalg import (
     horner_eval,
     operator_norm,
 )
-from .regularize import RegularizedEncoding, branch_shift, incrementer, regularize
+from .regularize import RegularizedEncoding, regularize
 
 __version__ = "0.1.0"
 
@@ -75,7 +75,6 @@ __all__ = [
     "as_polynomial",
     "assemble_circuit",
     "assemble_from_jordan",
-    "branch_shift",
     "check_perturbation_bound",
     "complete",
     "counter_order_for_degree",
@@ -85,7 +84,6 @@ __all__ = [
     "evaluate_scalar",
     "exp_plan",
     "horner_eval",
-    "incrementer",
     "jordan_block",
     "jordan_poly",
     "operator_norm",

@@ -173,11 +173,7 @@ def _cmd_regularize(args) -> int:
 def _cmd_synthesize(args) -> int:
     poly = load_polynomial(args.coeffs)
     seq = gqsp.synthesize(poly)
-    theta = 2 * np.pi * np.arange(args.grid) / args.grid
-    pts = np.exp(1j * theta)
-    residual = float(
-        np.max(np.abs(gqsp.evaluate_scalar(seq, pts) - seq.scale * poly(pts)))
-    )
+    residual = gqsp._grid_residual(seq, poly, args.grid)
     payload = {
         "degree": seq.degree,
         "scale": seq.scale,

@@ -101,7 +101,11 @@ def verify_encoding(be: BlockEncoding, a_mat, eps: float) -> bool:
 
 
 def regularity_profile(be: BlockEncoding, a_mat, k_max: int) -> list[float]:
-    """Per-power encoding errors ||top_left(U^k) - A^k|| for k = 1..k_max."""
+    """Per-power encoding errors ||top_left(U^k) - A^k|| for k = 1..k_max.
+
+    Only the d columns of U^k with the ancillas at zero are carried, one
+    product U @ columns per power; U^k itself is never formed.
+    """
     a = ensure_square(a_mat, name="target matrix")
     if a.shape[0] != be.system_dim:
         raise ValidationError(
@@ -111,13 +115,13 @@ def regularity_profile(be: BlockEncoding, a_mat, k_max: int) -> list[float]:
     if k_max < 1:
         raise ValidationError("k_max must be positive", module=_MOD)
     d = be.system_dim
-    u_power = np.eye(be.dim, dtype=np.complex128)
+    columns = np.eye(be.dim, d, dtype=np.complex128)
     a_power = np.eye(d, dtype=np.complex128)
     errors = []
     for _ in range(k_max):
-        u_power = u_power @ be.unitary
+        columns = be.unitary @ columns
         a_power = a_power @ a
-        errors.append(operator_norm(u_power[:d, :d] - a_power))
+        errors.append(operator_norm(columns[:d] - a_power))
     return errors
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .encoding import dilate, top_left_block
 from .errors import ValidationError
-from .gqsp import GqspSequence, _signal_block, evaluate_scalar, sup_norm_on_circle, synthesize
+from .gqsp import GqspSequence, _grid_residual, _signal_block, sup_norm_on_circle, synthesize
 from .linalg import PolynomialSpec, as_polynomial, ensure_square, horner_eval, operator_norm
 from .regularize import RegularizedEncoding, regularize
 
@@ -117,14 +117,15 @@ def check_perturbation_bound(a_mat, e_mat, p) -> bool:
     return gap <= perturbation_bound(p.degree, operator_norm(e)) + 1e-10
 
 
-def transform(a_mat, p, *, residual_grid: int = 1024) -> TransformReport:
+def transform(a_mat, p) -> TransformReport:
     """Block-encode P(A) for an arbitrary square A and compare with Horner.
 
     Builds dilation -> counter regularization at order 2^ceil(log2 deg) ->
     rotation synthesis -> the circuit's encoded block (assemble_circuit), and
     reports the achieved operator-norm error against horner_eval(p, a_mat)
     plus an a-priori bound (perturbation bound at the measured encoding
-    error, plus the measured synthesis residual).
+    error, plus the synthesis residual measured on the 1024th roots of
+    unity).
     """
     a = ensure_square(a_mat, name="matrix")
     p = as_polynomial(p)
@@ -150,11 +151,7 @@ def transform(a_mat, p, *, residual_grid: int = 1024) -> TransformReport:
     achieved = operator_norm(result - oracle)
 
     encoding_eps = operator_norm(top_left_block(encoding) - a_enc)
-    theta = 2 * np.pi * np.arange(residual_grid) / residual_grid
-    pts = np.exp(1j * theta)
-    synth_residual = float(
-        np.max(np.abs(evaluate_scalar(seq, pts) - seq.scale * p_enc(pts)))
-    )
+    synth_residual = _grid_residual(seq, p_enc, 1024)
     predicted = perturbation_bound(degree, encoding_eps) + synth_residual / seq.scale
 
     return TransformReport(

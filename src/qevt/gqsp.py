@@ -176,13 +176,17 @@ def complete(p) -> PolynomialSpec:
     genuine roots sit on the circle; rescale the polynomial otherwise.
     """
     p = as_polynomial(p)
+    return _complete(p, sup_norm_on_circle(p))
+
+
+def _complete(p: PolynomialSpec, sup: float) -> PolynomialSpec:
+    """``complete`` for a polynomial whose circle sup-norm is already known."""
     c = _circle_deficit_coefficients(p)
     n = p.degree
     mean_deficit = float(c[n].real)  # 1 - sum |p_k|^2, the Fourier mean of 1 - |P|^2
     if float(np.max(np.abs(c))) <= 1e-14:
         # |P| == 1 identically on the circle (a unimodular monomial): Q = 0 exactly
         return PolynomialSpec([0.0])
-    sup = sup_norm_on_circle(p)
     # the tiny absolute slack keeps freshly rescaled polynomials, whose sup is
     # 1 - SUP_MARGIN up to rounding, from tripping on the margin they just met
     if sup > 1.0 - SUP_MARGIN + 1e-10:
@@ -241,7 +245,7 @@ def synthesize(p) -> GqspSequence:
         if deficit > 1e-14 or sup > 1.0 + 1e-12:
             scale = (1.0 - SUP_MARGIN) / sup
             p = p.scaled(scale)
-    q = complete(p)
+    q = _complete(p, scale * sup)
 
     n = p.degree
     pc = p.array
@@ -286,16 +290,23 @@ def synthesize(p) -> GqspSequence:
 
 
 def evaluate_scalar(seq: GqspSequence, z):
-    """Top-left entry of R_0 diag(1,z) R_1 ... diag(1,z) R_n at a point or array."""
+    """Top-left entry of R_0 diag(1,z) R_1 ... diag(1,z) R_n at a point or array.
+
+    Runs the circuit kernel with the signal z on one column per point.
+    """
     zs = np.asarray(z, dtype=np.complex128)
     if np.any(np.abs(zs) > 1.0 + 1e-12):
         raise ValidationError("evaluation points must lie in the closed unit disk", module=_MOD)
     flat = np.atleast_1d(zs).ravel()
-    vec = np.repeat(seq.rotations[-1][:, [0]], flat.size, axis=1)
-    for rot in seq.rotations[-2::-1]:
-        vec = rot @ np.vstack([vec[0], flat * vec[1]])
-    values = vec[0].reshape(np.shape(zs))
+    values = _signal_block(seq, lambda v: flat * v, np.ones(flat.size)).reshape(np.shape(zs))
     return complex(values) if np.isscalar(z) or np.shape(z) == () else values
+
+
+def _grid_residual(seq: GqspSequence, p: PolynomialSpec, grid: int) -> float:
+    """max |evaluate_scalar(seq, z) - scale * P(z)| over the grid-th roots of unity."""
+    theta = 2 * np.pi * np.arange(grid) / grid
+    pts = np.exp(1j * theta)
+    return float(np.max(np.abs(evaluate_scalar(seq, pts) - seq.scale * p(pts))))
 
 
 def _signal_block(seq: GqspSequence, signal, x: np.ndarray) -> np.ndarray:

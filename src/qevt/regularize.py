@@ -6,6 +6,12 @@ counter that is incremented whenever the original ancillas leave their
 all-zero state. Failed branches are thereby tagged and can no longer
 re-enter the success branch until the counter wraps around after n calls.
 
+The wrapped unitary is the branch shift times (I_n tensor U): U acts on
+every counter value, then the counter is incremented (cyclically) on the
+rows where the original ancillas are not all zero. It is applied to
+columns without being formed; the dense matrix is built from the same
+application only on request.
+
 Register order, most significant first: counter (C), original ancillas
 (O), system (S). The success index stays at row/column 0.
 """
@@ -36,7 +42,8 @@ class RegularizedEncoding:
     order: int
 
     def __post_init__(self):
-        _power_of_two_exponent(self.order)
+        if self.order < 1 or (self.order & (self.order - 1)) != 0:
+            raise ValidationError(f"order must be a power of two, got {self.order}", module=_MOD)
 
     @property
     def counter_qubits(self) -> int:
@@ -60,58 +67,26 @@ class RegularizedEncoding:
 
     @cached_property
     def base(self) -> BlockEncoding:
-        """The dense wrapped encoding branch_shift(n, a, d) . (I_n x U); the source if n = 1."""
+        """The dense wrapped encoding (branch shift times I_n tensor U); the source if n = 1.
+
+        Built by applying the wrapped unitary to every basis column.
+        """
         be = self.source
         if self.order == 1:
             return be
+        dim = self.order * be.dim
+        columns = np.eye(dim, dtype=np.complex128).reshape(self.order, be.dim, dim)
         return BlockEncoding(
-            unitary=branch_shift(self.order, be.ancilla_qubits, be.system_dim)
-            @ np.kron(np.eye(self.order), be.unitary),
+            unitary=self.apply(columns).reshape(dim, dim),
             ancilla_qubits=self.counter_qubits + be.ancilla_qubits,
             system_dim=be.system_dim,
         )
 
 
-def _power_of_two_exponent(n: int) -> int:
-    if n < 1 or (n & (n - 1)) != 0:
-        raise ValidationError(f"order must be a power of two, got {n}", module=_MOD)
-    return n.bit_length() - 1
-
-
-def incrementer(n: int) -> np.ndarray:
-    """The n x n cyclic-shift permutation taking basis index x to (x + 1) mod n."""
-    _power_of_two_exponent(n)
-    q = np.zeros((n, n), dtype=np.complex128)
-    q[(np.arange(n) + 1) % n, np.arange(n)] = 1.0
-    return q
-
-
-def branch_shift(n: int, a: int, d: int) -> np.ndarray:
-    """Conditional increment on the counter: identity when the original
-    ancillas read zero, the cyclic shift otherwise.
-
-    Acts on C (dimension n) x O (dimension 2^a) x S (dimension d). Equals the
-    two-gate form: increment the counter, then undo it when O is all-zero.
-    """
-    _power_of_two_exponent(n)
-    if a < 0 or d < 1:
-        raise ValidationError(f"invalid register sizes a={a}, d={d}", module=_MOD)
-    dim_o = 2**a
-    size = n * dim_o * d
-    cols = np.arange(size)
-    i = cols // (dim_o * d)
-    j = (cols // d) % dim_o
-    i_next = np.where(j == 0, i, (i + 1) % n)
-    rows = (i_next * dim_o + j) * d + cols % d
-    shift = np.zeros((size, size), dtype=np.complex128)
-    shift[rows, cols] = 1.0
-    return shift
-
-
 def regularize(be: BlockEncoding, n: int) -> RegularizedEncoding:
     """Wrap a block-encoding so its first n powers encode the matrix powers.
 
-    The wrapped unitary is branch_shift(n, a, d) . (I_n x U) with b + a
+    The wrapped unitary, the branch shift times (I_n tensor U), has b + a
     ancillas; its top-left block is identical to the input's, so the
     encoding error at k = 1 is untouched.
     """

@@ -70,3 +70,19 @@ def dense_circuit(seq, u: np.ndarray) -> np.ndarray:
     for rot in seq.rotations[1:]:
         circuit = circuit @ cu @ np.kron(rot, eye)
     return circuit
+
+
+def wrapped_unitary(u: np.ndarray, n: int, a: int, d: int) -> np.ndarray:
+    """Reference regularized unitary by dense products: branch_shift . (I_n x U).
+
+    The branch shift on C (dimension n) x O (2^a) x S (d) is the two-gate
+    form: increment the counter, then undo it when O is all-zero.
+    """
+    dim_o = 2**a
+    inc = np.roll(np.eye(n), 1, axis=0)  # basis index x -> (x + 1) mod n
+    proj0 = np.zeros((dim_o, dim_o))
+    proj0[0, 0] = 1.0
+    undo = np.kron(np.kron(inc.T, proj0), np.eye(d)) + np.kron(
+        np.kron(np.eye(n), np.eye(dim_o) - proj0), np.eye(d)
+    )
+    return undo @ np.kron(inc, np.eye(dim_o * d)) @ np.kron(np.eye(n), u)

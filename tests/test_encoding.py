@@ -5,6 +5,7 @@ from qevt.encoding import (
     BlockEncoding,
     dilate,
     regularity_order,
+    regularity_profile,
     top_left_block,
     verify_encoding,
 )
@@ -135,3 +136,21 @@ class TestRegularityOrder:
         reg = regularize(dilate(a), 4)
         orders = [regularity_order(reg.base, a, tol, 8) for tol in (1e-4, 1e-8, 1e-12)]
         assert orders == sorted(orders, reverse=True)
+
+
+class TestRegularityProfile:
+    def test_matches_dense_powers(self):
+        # carried columns against full matrix powers, also past the regular
+        # order where the errors are of order one
+        rng = rng_for(13)
+        for d, order, k_max in ((3, 4, 8), (2, 8, 12), (4, 1, 3)):
+            a = random_contraction(rng, d, 0.85)
+            be = regularize(dilate(a), order).base
+            u = np.asarray(be.unitary)
+            dense = [
+                opnorm(np.linalg.matrix_power(u, k)[:d, :d] - np.linalg.matrix_power(a, k))
+                for k in range(1, k_max + 1)
+            ]
+            profile = regularity_profile(be, a, k_max)
+            assert max(dense[order:]) > 1e-3
+            assert np.max(np.abs(np.subtract(profile, dense))) <= 1e-14

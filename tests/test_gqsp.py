@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qevt import gqsp
 from qevt.errors import NormBoundError, ValidationError
 from qevt.gqsp import (
     GqspSequence,
@@ -144,6 +145,22 @@ class TestSynthesize:
             assert seq.scale == 1.0
             residual = np.max(np.abs(evaluate_scalar(seq, pts) - p(pts)))
             assert residual <= 1e-9
+
+    def test_sup_norm_computed_once(self, monkeypatch):
+        # once for a polynomial inside the margin, once for one rescaled to it
+        calls = []
+        original = gqsp.sup_norm_on_circle
+
+        def counting(p, *args, **kwargs):
+            calls.append(p)
+            return original(p, *args, **kwargs)
+
+        monkeypatch.setattr(gqsp, "sup_norm_on_circle", counting)
+        for p, rescaled in ((random_polynomial(rng_for(6), 6, sup=0.8), False), (AVERAGING, True)):
+            calls.clear()
+            seq = synthesize(p)
+            assert (seq.scale < 1.0) == rescaled
+            assert len(calls) == 1
 
     def test_rotations_are_unitary(self):
         p = random_polynomial(rng_for(5), 6, sup=0.8)

@@ -4,9 +4,16 @@ import pytest
 from qevt.encoding import BlockEncoding, dilate, top_left_block
 from qevt.errors import ValidationError
 from qevt.linalg import horner_eval
-from qevt.regularize import branch_shift, incrementer, regularize
+from qevt.regularize import regularize
 
-from helpers import opnorm, random_complex, random_contraction, random_unitary, rng_for
+from helpers import (
+    opnorm,
+    random_complex,
+    random_contraction,
+    random_unitary,
+    rng_for,
+    wrapped_unitary,
+)
 
 # a fixed generic 2x2 contraction for the worked 2-regular example
 FIXTURE_A = np.array(
@@ -14,61 +21,41 @@ FIXTURE_A = np.array(
 )
 
 
-class TestIncrementer:
-    def test_q2_is_pauli_x(self):
-        assert np.allclose(incrementer(2), np.array([[0, 1], [1, 0]]))
+class TestBase:
+    """The dense wrapped unitary built from ``apply``, against the two-gate reference."""
 
-    def test_wraps_around(self):
-        q4 = incrementer(4)
-        state = np.zeros(4)
-        state[3] = 1.0
-        out = q4 @ state
-        assert out[0] == pytest.approx(1.0)
-
-    def test_full_cycle_is_identity(self):
+    def test_matches_two_gate_reference(self):
+        rng = rng_for(7)
         for n in (1, 2, 4, 8):
-            assert np.allclose(np.linalg.matrix_power(incrementer(n), n), np.eye(n))
-
-    def test_rejects_non_power_of_two(self):
-        for bad in (0, 3, 6, -4):
-            with pytest.raises(ValidationError):
-                incrementer(bad)
-
-
-class TestBranchShift:
-    def test_no_ancillas_means_identity(self):
-        assert np.allclose(branch_shift(4, 0, 3), np.eye(12))
-
-    def test_failed_branch_is_tagged(self):
-        # |0>_C |1>_O -> |1>_C |1>_O for n=2, a=1, d=1
-        d_op = branch_shift(2, 1, 1)
-        state = np.zeros(4)
-        state[1] = 1.0  # (i=0, j=1)
-        out = d_op @ state
-        assert out[3] == pytest.approx(1.0)  # (i=1, j=1)
+            for a in (0, 1, 2):
+                for d in (1, 3):
+                    u = random_unitary(rng, 2**a * d)
+                    reg = regularize(BlockEncoding(unitary=u, ancilla_qubits=a, system_dim=d), n)
+                    assert np.array_equal(reg.base.unitary, wrapped_unitary(u, n, a, d))
 
     def test_success_branch_untouched(self):
-        d_op = branch_shift(4, 2, 2)
-        n, dim_o, d = 4, 4, 2
+        # rows with O all-zero keep the counter value of their column
+        n, a, d = 4, 2, 2
+        dim = 2**a * d
+        u = random_unitary(rng_for(9), dim)
+        reg = regularize(BlockEncoding(unitary=u, ancilla_qubits=a, system_dim=d), n)
+        w = np.asarray(reg.base.unitary).reshape(n, dim, n, dim)
         for i in range(n):
-            for s in range(d):
-                idx = (i * dim_o) * d + s  # j = 0
-                state = np.zeros(n * dim_o * d)
-                state[idx] = 1.0
-                assert np.allclose(d_op @ state, state)
+            for j in range(n):
+                expected = u[:d] if i == j else np.zeros((d, dim))
+                assert np.array_equal(w[j, :d, i], expected)
 
-    def test_matches_two_gate_decomposition(self):
-        # increment the counter, then undo it when the O register reads zero
-        for n, a, d in ((2, 1, 2), (4, 1, 3), (4, 2, 2), (8, 1, 1)):
-            dim_o = 2**a
-            q = incrementer(n)
-            proj0 = np.zeros((dim_o, dim_o))
-            proj0[0, 0] = 1.0
-            undo = np.kron(np.kron(q.conj().T, proj0), np.eye(d)) + np.kron(
-                np.kron(np.eye(n), np.eye(dim_o) - proj0), np.eye(d)
-            )
-            two_gate = undo @ np.kron(q, np.eye(dim_o * d))
-            assert opnorm(branch_shift(n, a, d) - two_gate) <= 1e-12
+    def test_failed_branch_moves_one_counter_value_up(self):
+        # rows with O not all-zero land one counter value higher, cyclically
+        n, a, d = 4, 1, 3
+        dim = 2**a * d
+        u = random_unitary(rng_for(10), dim)
+        reg = regularize(BlockEncoding(unitary=u, ancilla_qubits=a, system_dim=d), n)
+        w = np.asarray(reg.base.unitary).reshape(n, dim, n, dim)
+        for i in range(n):
+            for j in range(n):
+                expected = u[d:] if j == (i + 1) % n else np.zeros((dim - d, dim))
+                assert np.array_equal(w[j, d:, i], expected)
 
 
 class TestRegularize:
@@ -150,7 +137,7 @@ class TestApply:
                     )
                     reg = regularize(be, n)
                     x = random_complex(rng, (n, dim, 2))
-                    dense = reg.base.unitary @ x.reshape(n * dim, 2)
+                    dense = wrapped_unitary(be.unitary, n, a, d) @ x.reshape(n * dim, 2)
                     assert opnorm(reg.apply(x).reshape(n * dim, 2) - dense) <= 1e-13
 
 
