@@ -40,13 +40,11 @@ from .gqsp import (
     apply_to_operator,
     complete,
     evaluate_scalar,
-    polynomial_roots,
     sup_norm_on_circle,
     synthesize,
 )
 from .linalg import (
     PolynomialSpec,
-    adjoint,
     as_matrix,
     as_polynomial,
     ensure_square,
@@ -69,7 +67,6 @@ __all__ = [
     "TransformReport",
     "TruncationPlan",
     "ValidationError",
-    "adjoint",
     "apply_to_operator",
     "as_matrix",
     "as_polynomial",
@@ -88,7 +85,6 @@ __all__ = [
     "jordan_poly",
     "operator_norm",
     "perturbation_bound",
-    "polynomial_roots",
     "regularity_order",
     "regularity_profile",
     "regularize",

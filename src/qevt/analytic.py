@@ -30,7 +30,6 @@ class TruncationPlan:
     order: int
     coefficients: PolynomialSpec
     certified_error: float
-    parameters: dict
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,12 +78,7 @@ def shifted_inverse_plan(c: complex, eps: float) -> TruncationPlan:
     pts = disk_samples(1000)
     plan = PolynomialSpec(coeffs)
     _check_on_disk(plan(pts), 1.0 / (c - pts), max(tail, eps), "shifted inverse truncation")
-    return TruncationPlan(
-        order=n,
-        coefficients=plan,
-        certified_error=tail,
-        parameters={"function": "shifted_inverse", "c": c, "eps": eps},
-    )
+    return TruncationPlan(order=n, coefficients=plan, certified_error=tail)
 
 
 def exp_plan(eps: float, scale: float = DEFAULT_EXP_SCALE) -> TruncationPlan:
@@ -106,12 +100,7 @@ def exp_plan(eps: float, scale: float = DEFAULT_EXP_SCALE) -> TruncationPlan:
     pts = disk_samples(1000)
     plan = PolynomialSpec(coeffs)
     _check_on_disk(plan(pts), scale * np.exp(pts), max(tail, eps), "exponential truncation")
-    return TruncationPlan(
-        order=n,
-        coefficients=plan,
-        certified_error=tail,
-        parameters={"function": "exp", "scale": scale, "eps": eps},
-    )
+    return TruncationPlan(order=n, coefficients=plan, certified_error=tail)
 
 
 def taylor_truncation_order(r: float, m: float, eps: float) -> int:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NormBoundError, ValidationError
-from .linalg import adjoint, ensure_square, operator_norm
+from .linalg import ensure_square, operator_norm
 
 _MOD = "encoding"
 
@@ -81,9 +81,9 @@ def dilate(a_mat) -> BlockEncoding:
     d = a.shape[0]
     left, sing, right_h = np.linalg.svd(a)
     complement = np.sqrt(1.0 - np.clip(sing, 0.0, 1.0) ** 2)
-    top_right = (left * complement) @ adjoint(left)
-    bottom_left = (adjoint(right_h) * complement) @ right_h
-    u = np.block([[a, top_right], [bottom_left, -adjoint(a)]])
+    top_right = (left * complement) @ left.conj().T
+    bottom_left = (right_h.conj().T * complement) @ right_h
+    u = np.block([[a, top_right], [bottom_left, -a.conj().T]])
     return BlockEncoding(unitary=u, ancilla_qubits=1, system_dim=d)
 
 

@@ -8,7 +8,8 @@ circle as the top-left entry of the product
 
 Synthesis runs in two stages: complete P to a pair (P, Q) with
 |P|^2 + |Q|^2 = 1 on the circle (Fejer-Riesz factorization of 1 - |P|^2
-by root pairing), then strip one rotation per degree from the pair.
+by pairing the roots of its polynomial lift, taken as the eigenvalues of
+the companion matrix), then strip one rotation per degree from the pair.
 Replacing diag(1, z) with the controlled unitary diag(I, U) lifts the
 scalar identity to a block-encoding of P(U) for unitary U. That circuit
 is applied, never formed: the d columns entering with the processing
@@ -30,8 +31,6 @@ _MOD = "gqsp"
 ROTATION_TOL = 1e-12
 SUP_MARGIN = 1e-6  # polynomials must satisfy sup |P| <= 1 - SUP_MARGIN for completion
 STRIP_TOL = 1e-13  # both leading coefficients below this aborts layer stripping
-ROOT_RESIDUAL = 1e-13
-ROOT_MAX_ITER = 500
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -65,61 +64,6 @@ class GqspSequence:
     @property
     def degree(self) -> int:
         return len(self.rotations) - 1
-
-
-def polynomial_roots(coefficients) -> np.ndarray:
-    """All complex roots by simultaneous Aberth-Ehrlich iteration.
-
-    Coefficients are lowest-first. Converges when every relative residual
-    drops below 1e-13; raises after 500 sweeps otherwise.
-    """
-    coeffs = np.asarray(coefficients, dtype=np.complex128)
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs = coeffs[:-1]
-    n = len(coeffs) - 1
-    if n < 1:
-        raise ValidationError("root finding needs degree >= 1", module=_MOD)
-    # strip roots at the origin exactly
-    n_zero = 0
-    while coeffs[0] == 0:
-        coeffs = coeffs[1:]
-        n_zero += 1
-    n_eff = len(coeffs) - 1
-    if n_eff == 0:
-        return np.zeros(n_zero, dtype=np.complex128)
-
-    monic = coeffs / coeffs[-1]
-    deriv = monic[1:] * np.arange(1, n_eff + 1)
-
-    # initial guesses on a circle sized by the geometric mean of the root moduli,
-    # with an irrational angular offset to break symmetric stalls
-    radius = float(abs(monic[0]) ** (1.0 / n_eff))
-    radius = min(max(radius, 0.25), 4.0)
-    angles = 2 * np.pi * (np.arange(n_eff) + 0.372) / n_eff + 0.5
-    z = radius * np.exp(1j * angles)
-
-    powers = np.abs(monic)  # for the relative residual scale
-    for _ in range(ROOT_MAX_ITER):
-        p_val = np.polynomial.polynomial.polyval(z, monic)
-        scale = np.polynomial.polynomial.polyval(np.abs(z), powers)
-        done = np.abs(p_val) <= ROOT_RESIDUAL * np.maximum(scale, 1e-300)
-        if np.all(done):
-            break
-        dp_val = np.polynomial.polynomial.polyval(z, deriv)
-        dp_val = np.where(dp_val == 0, 1e-300, dp_val)
-        newton = p_val / dp_val
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, 1.0)
-        repulsion = np.sum(1.0 / diff, axis=1) - 1.0  # remove the diagonal dummy
-        denom = 1.0 - newton * repulsion
-        denom = np.where(np.abs(denom) < 1e-300, 1e-300, denom)
-        step = np.where(done, 0.0, newton / denom)
-        z = z - step
-    else:
-        raise NumericalError(
-            f"root finding did not converge within {ROOT_MAX_ITER} iterations", module=_MOD
-        )
-    return np.concatenate([np.zeros(n_zero, dtype=np.complex128), z])
 
 
 def sup_norm_on_circle(p, grid: int = 16384) -> float:
@@ -169,7 +113,8 @@ def complete(p) -> PolynomialSpec:
     """Companion polynomial Q with |P|^2 + |Q|^2 = 1 on the unit circle.
 
     Factors the trigonometric polynomial 1 - |P|^2 by computing all roots of
-    its polynomial lift, keeping one root of each conjugate-reciprocal pair
+    its polynomial lift as the eigenvalues of its companion matrix (numpy's
+    ``polyroots``), keeping one root of each conjugate-reciprocal pair
     (the one inside the open unit disk; roots caught on the wrong side are
     reflected radially inward through the circle), and fixing the overall
     constant from the mean of 1 - |P|^2. Requires sup |P| <= 1 - 1e-6 so no
@@ -206,7 +151,10 @@ def _complete(p: PolynomialSpec, sup: float) -> PolynomialSpec:
     if n_eff == 0:
         return PolynomialSpec([np.sqrt(mean_deficit)])
     lift = c[n - n_eff : n + n_eff + 1]  # degree 2*n_eff, nonzero at both ends
-    roots = polynomial_roots(lift)
+    try:
+        roots = np.polynomial.polynomial.polyroots(lift)  # companion-matrix eigenvalues
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"root finding failed: {exc}", module=_MOD) from exc
     by_modulus = roots[np.argsort(np.abs(roots))]
     inner = by_modulus[:n_eff]
     inner = np.where(np.abs(inner) > 1.0, 1.0 / np.conj(inner), inner)

@@ -37,11 +37,6 @@ def ensure_square(values, *, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def adjoint(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return a.conj().T
-
-
 def operator_norm(a) -> float:
     """Largest singular value, via the Hermitian eigenvalues of A^dag A."""
     a = as_matrix(a)

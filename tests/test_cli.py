@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -122,6 +126,17 @@ class TestSynthesizeCommand:
         assert payload["scale"] == pytest.approx(1 - 1e-6)
         assert len(payload["rotations"]) == 3
 
+    def test_root_finding_failure_exits_4(self, tmp_path, capsys, monkeypatch):
+        def failing(coefficients):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.polynomial.polynomial, "polyroots", failing)
+        poly = write_poly(tmp_path / "p.json", [0.5, 0, 0.5])
+        assert cli.main(["synthesize", "--coeffs", poly]) == 4
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["module"] == "gqsp"
+
 
 class TestTransformCommand:
     def test_exp_of_identity(self, tmp_path, capsys):
@@ -147,12 +162,12 @@ class TestTransformCommand:
         poly = write_poly(tmp_path / "p.json", [0.5, 0, 0.5])
         report = tmp_path / "report.json"
         code = cli.main(
-            ["transform", matrix, "--coeffs", poly, "--tolerance", "1e-15",
+            ["transform", matrix, "--coeffs", poly, "--tolerance", "0",
              "--report", str(report)]
         )
         assert code == 1
         assert report.exists()
-        assert json.loads(report.read_text())["achieved_error"] > 1e-15
+        assert json.loads(report.read_text())["achieved_error"] > 0
 
     def test_inverse_builtin(self, tmp_path, capsys):
         rng = rng_for(5)
@@ -163,6 +178,22 @@ class TestTransformCommand:
         result = read_matrix_payload(payload["result"])
         reference = np.linalg.inv(2 * np.eye(3) - a)
         assert np.linalg.norm(result - reference, 2) <= 2e-3
+
+    def test_completion_failure_is_one_json_line(self, tmp_path):
+        # a separate process, so that anything else written to stderr (such as
+        # numpy warnings) shows up next to the error line
+        matrix = write_matrix(tmp_path / "a.json", random_contraction(rng_for(5), 3, 0.8))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "qevt.cli", "transform", matrix,
+             "--inverse", "1.1", "--eps", "1e-6"],
+            capture_output=True, text=True, timeout=300, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 4
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["module"] == "gqsp"
 
     def test_requires_exactly_one_polynomial_source(self, tmp_path):
         matrix = write_matrix(tmp_path / "a.json", np.eye(2))

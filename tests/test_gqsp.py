@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from qevt import gqsp
-from qevt.errors import NormBoundError, ValidationError
+from qevt.errors import NormBoundError, NumericalError, ValidationError
 from qevt.gqsp import (
     GqspSequence,
     apply_to_operator,
     complete,
     evaluate_scalar,
-    polynomial_roots,
     sup_norm_on_circle,
     synthesize,
 )
@@ -27,32 +26,6 @@ from helpers import (
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 AVERAGING = PolynomialSpec([0.5, 0.0, 0.5])  # (1 + z^2)/2, sup-norm exactly 1
-
-
-class TestPolynomialRoots:
-    def test_quadratic(self):
-        roots = np.sort_complex(polynomial_roots([2.0, -3.0, 1.0]))  # (z-1)(z-2)
-        assert np.allclose(roots, [1.0, 2.0], atol=1e-10)
-
-    def test_matches_numpy_companion_roots(self):
-        rng = rng_for(0)
-        for deg in (4, 9, 16, 33):
-            coeffs = random_complex(rng, deg + 1)
-            mine = np.sort_complex(polynomial_roots(coeffs))
-            reference = np.sort_complex(np.roots(coeffs[::-1]))
-            assert np.max(np.abs(mine - reference)) <= 1e-7
-
-    def test_residuals_are_tiny(self):
-        rng = rng_for(1)
-        coeffs = random_complex(rng, 25)
-        roots = polynomial_roots(coeffs)
-        residuals = np.abs(np.polynomial.polynomial.polyval(roots, coeffs))
-        scale = np.sum(np.abs(coeffs))
-        assert np.max(residuals) <= 1e-10 * scale
-
-    def test_roots_at_origin(self):
-        roots = np.sort_complex(polynomial_roots([0.0, 0.0, -1.0, 1.0]))  # z^2 (z - 1)
-        assert np.allclose(roots, [0.0, 0.0, 1.0], atol=1e-10)
 
 
 class TestSupNormOnCircle:
@@ -98,14 +71,24 @@ class TestComplete:
         assert np.max(np.abs(got - expected)) <= 1e-10
 
     def test_random_polynomials_satisfy_identity(self):
+        # Q must be the factor with every root inside the disk and a positive
+        # leading coefficient: layer stripping relies on that choice
         rng = rng_for(3)
         pts = circle_grid(4096)
-        for _ in range(5):
-            p = random_polynomial(rng, 8, sup=0.9)
-            q = complete(p)
-            assert q.degree <= p.degree
-            total = np.abs(p(pts)) ** 2 + np.abs(q(pts)) ** 2
-            assert np.max(np.abs(total - 1.0)) <= 1e-8
+        margin = 1.0 - gqsp.SUP_MARGIN
+        for degree in range(1, 33):
+            for sup in (0.5, 0.9, margin):
+                p = random_polynomial(rng, degree, sup=sup)
+                if sup == margin:  # exactly at the margin, as synthesize rescales
+                    p = p.scaled(margin / sup_norm_on_circle(p))
+                q = complete(p)
+                assert q.degree <= p.degree
+                total = np.abs(p(pts)) ** 2 + np.abs(q(pts)) ** 2
+                assert np.max(np.abs(total - 1.0)) <= 1e-8
+                lead = q.coefficients[-1]
+                assert lead.imag == 0.0 and lead.real > 0.0
+                roots = np.polynomial.polynomial.polyroots(q.array) if q.degree else []
+                assert np.all(np.abs(roots) < 1.0)
 
     def test_rejects_boundary_polynomial(self):
         with pytest.raises(NormBoundError, match="rescale"):
@@ -161,6 +144,15 @@ class TestSynthesize:
             seq = synthesize(p)
             assert (seq.scale < 1.0) == rescaled
             assert len(calls) == 1
+
+    def test_root_finding_failure_is_numerical_error(self, monkeypatch):
+        def failing(coefficients):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.polynomial.polynomial, "polyroots", failing)
+        with pytest.raises(NumericalError, match="root finding failed") as info:
+            synthesize(AVERAGING)
+        assert info.value.module == "gqsp"
 
     def test_rotations_are_unitary(self):
         p = random_polynomial(rng_for(5), 6, sup=0.8)
