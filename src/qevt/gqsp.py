@@ -7,9 +7,12 @@ circle as the top-left entry of the product
     R_0 . diag(1, z) . R_1 . diag(1, z) ... diag(1, z) . R_n.
 
 Synthesis runs in two stages: complete P to a pair (P, Q) with
-|P|^2 + |Q|^2 = 1 on the circle (Fejer-Riesz factorization of 1 - |P|^2
-by pairing the roots of its polynomial lift, taken as the eigenvalues of
-the companion matrix), then strip one rotation per degree from the pair.
+|P|^2 + |Q|^2 = 1 on the circle (a Fejer-Riesz factor of 1 - |P|^2), then
+strip one rotation per degree from the pair. The factor comes from FFTs of
+log(1 - |P|^2) on a grid sized from the degree and sup |P| (the outer
+function, Weiss style) when that grid has at most 2^15 points; closer to
+the margin it comes from pairing the roots of the polynomial lift of
+1 - |P|^2, taken as the eigenvalues of its companion matrix.
 Replacing diag(1, z) with the controlled unitary diag(I, U) lifts the
 scalar identity to a block-encoding of P(U) for unitary U. That circuit
 is applied, never formed: the d columns entering with the processing
@@ -19,6 +22,7 @@ the processing-0 half is returned.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +34,7 @@ _MOD = "gqsp"
 
 ROTATION_TOL = 1e-12
 SUP_MARGIN = 1e-6  # polynomials must satisfy sup |P| <= 1 - SUP_MARGIN for completion
+OUTER_GRID_CAP = 2**15  # largest FFT grid for the outer-function completion (512 KiB per array)
 STRIP_TOL = 1e-13  # both leading coefficients below this aborts layer stripping
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -46,20 +51,22 @@ class GqspSequence:
             raise ValidationError("a sequence needs at least one rotation", module=_MOD)
         if not 0 < self.scale <= 1.0 + 1e-12:
             raise ValidationError(f"invalid subnormalization scale {self.scale}", module=_MOD)
-        frozen = []
         for k, rot in enumerate(self.rotations):
-            r = np.asarray(rot, dtype=np.complex128)
-            if r.shape != (2, 2):
+            if np.shape(rot) != (2, 2):
                 raise ValidationError(f"rotation {k} is not 2x2", module=_MOD)
-            defect = operator_norm(r.conj().T @ r - np.eye(2))
-            if defect > ROTATION_TOL:
-                raise ValidationError(
-                    f"rotation {k} is not unitary: defect {defect:.3e}", module=_MOD
-                )
-            r = r.copy()
-            r.setflags(write=False)
-            frozen.append(r)
-        object.__setattr__(self, "rotations", tuple(frozen))
+        stack = np.array(self.rotations, dtype=np.complex128)  # (n + 1, 2, 2), a copy
+        if not np.all(np.isfinite(stack)):
+            raise ValidationError("a rotation contains NaN or Inf entries", module=_MOD)
+        gram = stack.conj().transpose(0, 2, 1) @ stack
+        defects = np.max(np.abs(np.linalg.eigvalsh(gram - np.eye(2))), axis=1)
+        bad = np.flatnonzero(defects > ROTATION_TOL)
+        if bad.size:
+            k = int(bad[0])
+            raise ValidationError(
+                f"rotation {k} is not unitary: defect {defects[k]:.3e}", module=_MOD
+            )
+        stack.setflags(write=False)
+        object.__setattr__(self, "rotations", tuple(stack))
 
     @property
     def degree(self) -> int:
@@ -75,7 +82,7 @@ def sup_norm_on_circle(p, grid: int = 16384) -> float:
             module=_MOD,
         )
     theta = 2 * np.pi * np.arange(grid) / grid
-    values = np.abs(p(np.exp(1j * theta)))
+    values = np.abs(grid * np.fft.ifft(p.array, grid))  # P at the grid-th roots of unity
     i = int(np.argmax(values))
     best = float(values[i])
 
@@ -112,13 +119,28 @@ def _circle_deficit_coefficients(p: PolynomialSpec) -> np.ndarray:
 def complete(p) -> PolynomialSpec:
     """Companion polynomial Q with |P|^2 + |Q|^2 = 1 on the unit circle.
 
-    Factors the trigonometric polynomial 1 - |P|^2 by computing all roots of
-    its polynomial lift as the eigenvalues of its companion matrix (numpy's
-    ``polyroots``), keeping one root of each conjugate-reciprocal pair
-    (the one inside the open unit disk; roots caught on the wrong side are
-    reflected radially inward through the circle), and fixing the overall
-    constant from the mean of 1 - |P|^2. Requires sup |P| <= 1 - 1e-6 so no
-    genuine roots sit on the circle; rescale the polynomial otherwise.
+    Q is the factor of the trigonometric polynomial 1 - |P|^2 with every
+    root inside the open unit disk and a real positive leading coefficient,
+    of degree n_eff, the bandwidth of 1 - |P|^2. It is computed one of two
+    ways, chosen by the grid N = max(4096, 2^ceil(log2(16 (n_eff + 1) /
+    sqrt(1 - sup|P|^2)))):
+
+    - N <= 2^15: the outer function. FFTs on N points take the Fourier
+      series of log|Q| = log(1 - |P|^2) / 2, keep its analytic half,
+      exponentiate and transform back; the conjugate reversal of the
+      first n_eff + 1 coefficients is Q. Coefficients beyond n_eff above
+      1e-12 (the grid was too coarse) raise ``NumericalError``.
+    - otherwise: the roots of the degree-2 n_eff lift of 1 - |P|^2, as
+      the eigenvalues of its companion matrix (numpy's ``polyroots``, on
+      the real eigenproblem when the lift is real). One root of each
+      conjugate-reciprocal pair is kept (the inner one; roots caught
+      outside are reflected inward), their monic product is rebuilt from
+      its values on the roots of unity by one FFT, and the overall
+      constant is fixed from the mean of 1 - |P|^2.
+
+    Either way the result must satisfy |P|^2 + |Q|^2 = 1 within 1e-8 on
+    4096 circle points. Requires sup |P| <= 1 - 1e-6 so no genuine roots
+    sit on the circle; rescale the polynomial otherwise.
     """
     p = as_polynomial(p)
     return _complete(p, sup_norm_on_circle(p))
@@ -150,17 +172,12 @@ def _complete(p: PolynomialSpec, sup: float) -> PolynomialSpec:
             break
     if n_eff == 0:
         return PolynomialSpec([np.sqrt(mean_deficit)])
-    lift = c[n - n_eff : n + n_eff + 1]  # degree 2*n_eff, nonzero at both ends
-    try:
-        roots = np.polynomial.polynomial.polyroots(lift)  # companion-matrix eigenvalues
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"root finding failed: {exc}", module=_MOD) from exc
-    by_modulus = roots[np.argsort(np.abs(roots))]
-    inner = by_modulus[:n_eff]
-    inner = np.where(np.abs(inner) > 1.0, 1.0 / np.conj(inner), inner)
-    monic = np.polynomial.polynomial.polyfromroots(inner)
-    gamma = np.sqrt(mean_deficit / float(np.sum(np.abs(monic) ** 2)))
-    q = PolynomialSpec(gamma * monic)
+    # log(1 - |P|^2) varies on the scale sqrt(1 - sup^2) / (n_eff + 1) in angle
+    grid = max(4096, 1 << math.ceil(math.log2(16 * (n_eff + 1) / math.sqrt(1.0 - sup * sup))))
+    if grid <= OUTER_GRID_CAP:
+        q = _outer_completion(p, n_eff, grid)
+    else:
+        q = _root_completion(c[n - n_eff : n + n_eff + 1], n_eff, mean_deficit)
 
     theta = 2 * np.pi * np.arange(4096) / 4096
     pts = np.exp(1j * theta)
@@ -171,6 +188,62 @@ def _complete(p: PolynomialSpec, sup: float) -> PolynomialSpec:
             module=_MOD,
         )
     return q
+
+
+def _outer_completion(p: PolynomialSpec, n_eff: int, grid: int) -> PolynomialSpec:
+    """Q from the outer function exp(H) with Re H = log|Q| = log(1 - |P|^2) / 2 on the circle.
+
+    Its coefficients come from FFTs on ``grid`` points: keep the analytic half
+    of the Fourier series of log|Q|, exponentiate, transform back. The outer
+    factor has no roots in the disk; its conjugate reversal has them all
+    inside and the same modulus on the circle.
+    """
+    values = grid * np.fft.ifft(p.array, grid)  # P at the grid-th roots of unity
+    log_q = np.fft.rfft(0.5 * np.log1p(-np.abs(values) ** 2)) / grid  # frequencies 0..grid/2
+    log_q[1:-1] *= 2.0  # the analytic half: each positive frequency carries its negative twin
+    outer = np.fft.fft(np.exp(grid * np.fft.ifft(log_q, grid))) / grid
+    tail = float(np.max(np.abs(outer[n_eff + 1 :])))
+    if tail > 1e-12:
+        raise NumericalError(
+            f"outer completion left coefficients up to {tail:.3e} beyond degree {n_eff} "
+            f"on {grid} points",
+            module=_MOD,
+        )
+    return _real_positive_lead(np.conj(outer[n_eff::-1]))
+
+
+def _root_completion(lift: np.ndarray, n_eff: int, mean_deficit: float) -> PolynomialSpec:
+    """Q from the roots of the degree-2*n_eff lift of 1 - |P|^2 inside the disk.
+
+    The roots are the companion-matrix eigenvalues (of a real matrix when
+    the lift is real); one of each conjugate-reciprocal pair is kept,
+    reflected inward if it was caught outside, and their monic product is
+    rebuilt by one FFT of its values on the roots of unity.
+    """
+    if not np.any(lift.imag):
+        lift = lift.real
+    try:
+        roots = np.polynomial.polynomial.polyroots(lift)  # companion-matrix eigenvalues
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"root finding failed: {exc}", module=_MOD) from exc
+    inner = roots[np.argsort(np.abs(roots))][:n_eff]
+    inner = np.where(np.abs(inner) > 1.0, 1.0 / np.conj(inner), inner)
+    size = 1 << math.ceil(math.log2(n_eff + 2))
+    points = np.exp(2j * np.pi * np.arange(size) / size)
+    values = np.ones(size, dtype=np.complex128)
+    for r in inner:
+        values *= points - r
+        values /= np.max(np.abs(values))  # |z - r| <= 2: rescale so no product overflows
+    coeffs = np.fft.fft(values)[: n_eff + 1]  # the monic product up to a positive factor
+    return _real_positive_lead(coeffs * (np.sqrt(mean_deficit) / np.linalg.norm(coeffs)))
+
+
+def _real_positive_lead(coeffs: np.ndarray) -> PolynomialSpec:
+    """The polynomial times the unimodular factor that makes its leading coefficient positive."""
+    lead = coeffs[-1]
+    coeffs = coeffs * (np.conj(lead) / abs(lead))
+    coeffs[-1] = abs(lead)
+    return PolynomialSpec(coeffs)
 
 
 def _unit_column(top: complex, bottom: complex) -> np.ndarray:

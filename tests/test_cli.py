@@ -179,14 +179,35 @@ class TestTransformCommand:
         reference = np.linalg.inv(2 * np.eye(3) - a)
         assert np.linalg.norm(result - reference, 2) <= 2e-3
 
+    def test_inverse_near_pole(self, tmp_path, capsys):
+        # degree 170, rescaled to the completion margin; the bound is eps by
+        # von Neumann's inequality for a contraction
+        a = random_contraction(rng_for(5), 3, 0.8)
+        matrix = write_matrix(tmp_path / "a.json", a)
+        assert cli.main(["transform", matrix, "--inverse", "1.1", "--eps", "1e-6"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        result = read_matrix_payload(payload["result"])
+        reference = np.linalg.inv(1.1 * np.eye(3) - a)
+        assert np.linalg.norm(result - reference, 2) <= 2e-6
+
     def test_completion_failure_is_one_json_line(self, tmp_path):
         # a separate process, so that anything else written to stderr (such as
-        # numpy warnings) shows up next to the error line
+        # numpy warnings) shows up next to the error line; the child makes the
+        # companion-matrix eigensolver fail on a margin polynomial of degree 170
         matrix = write_matrix(tmp_path / "a.json", random_contraction(rng_for(5), 3, 0.8))
         src = str(Path(__file__).resolve().parents[1] / "src")
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        child = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from qevt import cli\n"
+            "def failing(coefficients):\n"
+            "    raise np.linalg.LinAlgError('Eigenvalues did not converge')\n"
+            "np.polynomial.polynomial.polyroots = failing\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
         proc = subprocess.run(
-            [sys.executable, "-m", "qevt.cli", "transform", matrix,
+            [sys.executable, "-c", child, "transform", matrix,
              "--inverse", "1.1", "--eps", "1e-6"],
             capture_output=True, text=True, timeout=300, env={**os.environ, "PYTHONPATH": path},
         )

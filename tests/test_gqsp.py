@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qevt import gqsp
+from qevt.analytic import shifted_inverse_plan
 from qevt.errors import NormBoundError, NumericalError, ValidationError
 from qevt.gqsp import (
     GqspSequence,
@@ -76,7 +77,7 @@ class TestComplete:
         rng = rng_for(3)
         pts = circle_grid(4096)
         margin = 1.0 - gqsp.SUP_MARGIN
-        for degree in range(1, 33):
+        for degree in (*range(1, 33), 48, 64, 128):
             for sup in (0.5, 0.9, margin):
                 p = random_polynomial(rng, degree, sup=sup)
                 if sup == margin:  # exactly at the margin, as synthesize rescales
@@ -89,6 +90,43 @@ class TestComplete:
                 assert lead.imag == 0.0 and lead.real > 0.0
                 roots = np.polynomial.polynomial.polyroots(q.array) if q.degree else []
                 assert np.all(np.abs(roots) < 1.0)
+
+    def test_outer_and_root_paths_agree(self, monkeypatch):
+        # inside the margin the FFT outer function applies; a zero grid cap
+        # sends the same polynomials through the companion roots
+        rng = rng_for(16)
+        polys = [random_polynomial(rng, degree, sup=0.9) for degree in (3, 17, 40)]
+        outer = [complete(p) for p in polys]
+        monkeypatch.setattr(gqsp, "OUTER_GRID_CAP", 0)
+        for p, q in zip(polys, outer):
+            assert np.max(np.abs(complete(p).array - q.array)) <= 1e-11
+
+    def test_real_lift_matches_complex_lift(self, monkeypatch):
+        # |P| fixes Q, so a unimodular factor on P must not change it; the
+        # real polynomial's lift is real and takes the real eigenproblem
+        lifts = []
+        original = np.polynomial.polynomial.polyroots
+
+        def recording(coefficients):
+            lifts.append(coefficients.dtype)
+            return original(coefficients)
+
+        monkeypatch.setattr(np.polynomial.polynomial, "polyroots", recording)
+        margin = 1.0 - gqsp.SUP_MARGIN
+        coeffs = rng_for(17).normal(size=25)
+        p = PolynomialSpec(coeffs * (margin / sup_norm_on_circle(PolynomialSpec(coeffs))))
+        q_real = complete(p)
+        q_complex = complete(p.scaled(np.exp(0.7j)))
+        assert lifts == [np.dtype(np.float64), np.dtype(np.complex128)]
+        assert np.max(np.abs(q_real.array - q_complex.array)) <= 1e-11
+
+    def test_outer_tail_check(self):
+        # a grid far too coarse for a margin polynomial aliases the log's
+        # Fourier series into the coefficients beyond the degree
+        p = random_polynomial(rng_for(18), 8, sup=1.0 - gqsp.SUP_MARGIN)
+        with pytest.raises(NumericalError, match="beyond degree 8") as info:
+            gqsp._outer_completion(p, 8, 64)
+        assert info.value.module == "gqsp"
 
     def test_rejects_boundary_polynomial(self):
         with pytest.raises(NormBoundError, match="rescale"):
@@ -153,6 +191,27 @@ class TestSynthesize:
         with pytest.raises(NumericalError, match="root finding failed") as info:
             synthesize(AVERAGING)
         assert info.value.module == "gqsp"
+
+    def test_draws_that_failed_the_residual_check(self):
+        # inputs on which Q rebuilt by polyfromroots misses the 1e-8 residual
+        # check: random draws at sup 0.9 (the outer path) and 1/(1.05 - z) at
+        # eps 1e-6 (degree 345, rescaled to the margin: the root path)
+        pts = circle_grid(4096)
+        polys = [
+            random_polynomial(rng_for(seed), degree, sup=0.9)
+            for degree, seed in ((64, 116), (96, 111), (128, 105))
+        ]
+        polys.append(shifted_inverse_plan(1.05, 1e-6).coefficients)
+        assert polys[-1].degree == 345
+        for p in polys:
+            seq = synthesize(p)
+            residual = np.max(np.abs(evaluate_scalar(seq, pts) - seq.scale * p(pts)))
+            assert residual <= 1e-10
+
+    def test_non_unitary_rotation_named(self):
+        rotations = (X, X, 1.01 * X, X)
+        with pytest.raises(ValidationError, match="rotation 2 is not unitary"):
+            GqspSequence(rotations=rotations)
 
     def test_rotations_are_unitary(self):
         p = random_polynomial(rng_for(5), 6, sup=0.8)
