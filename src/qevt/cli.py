@@ -298,11 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, report_default=None):
+    def common(p):
         p.add_argument("--tolerance", type=float, default=1e-8, help="pass/fail threshold")
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized fixtures")
-        p.add_argument("--grid", type=int, default=4096, help="circle grid resolution")
-        p.add_argument("--report", default=report_default, help="write output here instead of stdout")
+        p.add_argument("--report", default=None, help="write output here instead of stdout")
 
     p = sub.add_parser("dilate", help="embed a contraction in a one-ancilla unitary")
     p.add_argument("input", help="matrix JSON file")
@@ -317,6 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synthesize", help="compute processing rotations for a polynomial")
     p.add_argument("--coeffs", required=True, help="polynomial JSON file")
+    p.add_argument("--grid", type=int, default=4096, help="circle grid resolution")
     common(p)
     p.set_defaults(func=_cmd_synthesize)
 
@@ -339,6 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("demo", help="run a worked example end to end")
     p.add_argument("which", choices=("inverse", "exp", "jordan"))
+    p.add_argument("--seed", type=int, default=0, help="seed for the random matrix")
     common(p)
     p.set_defaults(func=_cmd_demo)
 

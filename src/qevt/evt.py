@@ -4,7 +4,8 @@ Pipeline: dilate the matrix into a one-ancilla block-encoding, wrap it
 with a counter register so the first n powers are faithful, synthesize
 the processing rotations for the target polynomial, and interleave them
 with the controlled encoding. Only the top-left block of that circuit is
-computed, by carrying its d ancilla-zero columns through it; the block is
+computed. It depends on the counter-0 sector alone (see assemble_circuit),
+so it is QSP on the encoded block, carried on d columns: the block is
 P(A), verified against a classical Horner evaluation.
 
 The pipeline is total on square inputs: a matrix with norm above one is
@@ -63,20 +64,22 @@ def assemble_circuit(seq: GqspSequence, reg: RegularizedEncoding) -> np.ndarray:
     """Top-left d x d block of the circuit interleaving rotations and encoding.
 
     The circuit is (R_0 x I) C(U) (R_1 x I) ... C(U) (R_n x I), the
-    processing qubit most significant and the entire regularized unitary U
-    controlled as one unit, with degree-many applications of U. The block
-    is computed from the d columns with every ancilla at zero, and neither
-    the circuit nor U is formed.
+    processing qubit most significant and the regularized unitary U
+    controlled as one unit. Its block is QSP on the source's encoded block
+    A, carried on d columns: the readout starts and ends at counter 0 with
+    the source ancillas O at zero. A call that leaves O != 0 moves that
+    amplitude from counter c to c + 1, so it re-enters counter 0 only after
+    order failed calls, and after degree <= order calls it still has O != 0.
+    Only the counter-0, O = 0 part of U, which is A, reaches the block;
+    neither the circuit nor U is formed, nor the other counter sectors.
     """
     if seq.degree > reg.order:
         raise ValidationError(
             f"sequence degree {seq.degree} exceeds encoding regularity order {reg.order}",
             module=_MOD,
         )
-    d = reg.source.system_dim
-    x = np.zeros((reg.order, reg.source.dim, d), dtype=np.complex128)
-    x[0, :d] = np.eye(d)
-    return _signal_block(seq, reg.apply, x)[0, :d]
+    block = top_left_block(reg.source)
+    return _signal_block(seq, lambda v: block @ v, np.eye(len(block), dtype=np.complex128))
 
 
 def perturbation_bound(degree: int, eps: float) -> float:

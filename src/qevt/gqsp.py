@@ -121,7 +121,8 @@ def complete(p) -> PolynomialSpec:
 
     Q is the factor of the trigonometric polynomial 1 - |P|^2 with every
     root inside the open unit disk and a real positive leading coefficient,
-    of degree n_eff, the bandwidth of 1 - |P|^2. It is computed one of two
+    of degree n_eff, the bandwidth of 1 - |P|^2: n minus the index of the
+    lowest nonzero coefficient of P, exactly. It is computed one of two
     ways, chosen by the grid N = max(4096, 2^ceil(log2(16 (n_eff + 1) /
     sqrt(1 - sup|P|^2)))):
 
@@ -163,13 +164,9 @@ def _complete(p: PolynomialSpec, sup: float) -> PolynomialSpec:
             module=_MOD,
             norm=sup,
         )
-    # trim the symmetric bandwidth: c_m ~ 0 for |m| > n_eff
-    tiny = 1e-14 * max(1.0, float(np.max(np.abs(c))))
-    n_eff = 0
-    for m in range(n, 0, -1):
-        if abs(c[n + m]) > tiny:
-            n_eff = m
-            break
+    # the exact bandwidth: c_m = 0 for m > n - ord0, and c_{n - ord0} = -p_n conj(p_ord0),
+    # with ord0 the index of the lowest nonzero coefficient
+    n_eff = n - int(np.argmax(p.array != 0))
     if n_eff == 0:
         return PolynomialSpec([np.sqrt(mean_deficit)])
     # log(1 - |P|^2) varies on the scale sqrt(1 - sup^2) / (n_eff + 1) in angle

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from qevt.gqsp import _signal_block
 from qevt.linalg import PolynomialSpec
 
 
@@ -31,9 +32,12 @@ def circle_grid(count: int) -> np.ndarray:
 
 
 def grid_sup(coeffs, count: int = 2**18) -> float:
-    """Dense-grid sup of |P| on the circle, independent of the library routine."""
-    pts = circle_grid(count)
-    return float(np.max(np.abs(np.polynomial.polynomial.polyval(pts, np.asarray(coeffs)))))
+    """Dense-grid sup of |P| on the circle, independent of the library routine.
+
+    One zero-padded FFT gives the values at the count-th roots of unity
+    (in reverse order, which leaves the maximum unchanged).
+    """
+    return float(np.max(np.abs(np.fft.fft(np.asarray(coeffs, dtype=np.complex128), count))))
 
 
 def random_polynomial(
@@ -86,3 +90,17 @@ def wrapped_unitary(u: np.ndarray, n: int, a: int, d: int) -> np.ndarray:
         np.kron(np.eye(n), np.eye(dim_o) - proj0), np.eye(d)
     )
     return undo @ np.kron(inc, np.eye(dim_o * d)) @ np.kron(np.eye(n), u)
+
+
+def full_sector_block(seq, reg) -> np.ndarray:
+    """Reference readout block with every counter sector carried through the circuit.
+
+    The d columns with every ancilla at zero enter at counter 0, the
+    regularized unitary acts on all order x 2^a * d rows through
+    ``reg.apply``, and the block is read at counter 0 with every ancilla at
+    zero. Only the counter-0 sector reaches that readout when deg P <= order.
+    """
+    d = reg.source.system_dim
+    x = np.zeros((reg.order, reg.source.dim, d), dtype=np.complex128)
+    x[0, :d] = np.eye(d)
+    return _signal_block(seq, reg.apply, x)[0, :d]

@@ -226,9 +226,38 @@ class TestTransformCommand:
         poly = write_poly(tmp_path / "p.json", [0.1, 0.2, 0.3, 0.1])
         first = tmp_path / "r1.json"
         second = tmp_path / "r2.json"
-        cli.main(["transform", matrix, "--coeffs", poly, "--seed", "7", "--report", str(first)])
-        cli.main(["transform", matrix, "--coeffs", poly, "--seed", "7", "--report", str(second)])
+        cli.main(["transform", matrix, "--coeffs", poly, "--report", str(first)])
+        cli.main(["transform", matrix, "--coeffs", poly, "--report", str(second)])
         assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("eps", ["1e-14", "1e-15"])
+    def test_exp_at_full_precision(self, tmp_path, capsys, eps):
+        # the deficit's top Laurent coefficient -p_n conj(p_0) is 5e-15 / 3e-16:
+        # the completion must keep that degree for the layers to strip
+        a = random_contraction(rng_for(9), 3, 0.8)
+        matrix = write_matrix(tmp_path / "a.json", a)
+        assert cli.main(["transform", matrix, "--exp", "--eps", eps]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["achieved_error"] <= 1e-12
+
+
+class TestUnreadOptions:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["synthesize", "--coeffs", "p.json", "--seed", "1"],
+            ["transform", "a.json", "--exp", "--seed", "1"],
+            ["transform", "a.json", "--exp", "--grid", "64"],
+            ["verify", "u.json", "a.json", "--ancillas", "1", "--order", "1", "--seed", "1"],
+            ["verify", "u.json", "a.json", "--ancillas", "1", "--order", "1", "--grid", "64"],
+            ["demo", "jordan", "--grid", "64"],
+        ],
+    )
+    def test_rejected_as_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestVerifyCommand:

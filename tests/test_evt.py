@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from qevt.encoding import BlockEncoding, dilate
+from qevt.analytic import JordanForm, assemble_from_jordan
+from qevt.encoding import BlockEncoding, dilate, top_left_block
 from qevt.errors import ValidationError
 from qevt.evt import (
     assemble_circuit,
@@ -12,10 +13,11 @@ from qevt.evt import (
 )
 from qevt.gqsp import synthesize
 from qevt.linalg import PolynomialSpec, horner_eval
-from qevt.regularize import regularize
+from qevt.regularize import RegularizedEncoding, regularize
 
 from helpers import (
     dense_circuit,
+    full_sector_block,
     opnorm,
     random_complex,
     random_contraction,
@@ -77,11 +79,50 @@ class TestAssembleCircuit:
             assert block.shape == (3, 3)
             assert opnorm(block - reference[:3, :3]) <= 1e-13
 
-    def test_dense_encoding_is_never_built(self):
+    def test_dense_encoding_is_never_built(self, monkeypatch):
+        # nor is the wrapped unitary applied: the other counter sectors are not
+        # carried, so a counter of order 2^20 costs nothing
+        def refuse(self, x):
+            raise AssertionError("the wrapped unitary was applied")
+
+        monkeypatch.setattr(RegularizedEncoding, "apply", refuse)
         rng = rng_for(6)
-        reg = regularize(dilate(random_contraction(rng, 3, 0.8)), 4)
-        assemble_circuit(synthesize(random_polynomial(rng, 4, sup=0.9)), reg)
-        assert "base" not in vars(reg)
+        a = random_contraction(rng, 3, 0.8)
+        p = random_polynomial(rng, 4, sup=0.9)
+        seq = synthesize(p)
+        for order in (4, 2**20):
+            reg = regularize(dilate(a), order)
+            block = assemble_circuit(seq, reg)
+            assert "base" not in vars(reg)
+            assert opnorm(block / seq.scale - horner_eval(p, a)) <= 1e-12
+
+    def test_counter_zero_sector_matches_full_sector_kernel(self):
+        rng = rng_for(17)
+        sources = [
+            dilate(random_contraction(rng, d, norm)) for d in (1, 3, 8) for norm in (0.3, 0.9, 1.0)
+        ]
+        for blocks in (((0.5, 2), (-0.3j, 1)), ((0.6j, 3), (0.2, 3), (-0.7, 2))):
+            d = sum(size for _, size in blocks)
+            g = random_complex(rng, (d, d))
+            jf = JordanForm(similarity=np.eye(d) + 0.2 * g / opnorm(g), blocks=blocks)
+            a = assemble_from_jordan(jf)
+            sources.append(dilate(a / opnorm(a)))
+        for ancillas in (1, 2, 3):
+            # the dilation extended block-diagonally to 2^a * d rows, then mixed by a
+            # Haar unitary on every row with some ancilla nonzero: the block stays A
+            d = 3
+            u = np.eye(2**ancillas * d, dtype=np.complex128)
+            u[: 2 * d, : 2 * d] = dilate(random_contraction(rng, d, 0.9)).unitary
+            u[d:, :] = random_unitary(rng, u.shape[0] - d) @ u[d:, :]
+            sources.append(BlockEncoding(unitary=u, ancilla_qubits=ancillas, system_dim=d))
+        for degree in range(17):
+            seq = synthesize(random_polynomial(rng, degree, sup=0.9))
+            least = counter_order_for_degree(degree)
+            for source in sources:
+                tol = 1e-14 * max(1.0, opnorm(top_left_block(source)))
+                for order in (least, 2 * least):
+                    reg = regularize(source, order)
+                    assert opnorm(assemble_circuit(seq, reg) - full_sector_block(seq, reg)) <= tol
 
 
 class TestTransform:

@@ -132,6 +132,15 @@ class TestComplete:
         with pytest.raises(NormBoundError, match="rescale"):
             complete(AVERAGING)
 
+    def test_tiny_top_coefficient_keeps_its_degree(self):
+        # the deficit's top Laurent coefficient is -p_2 conj(p_0) = -5e-15, yet
+        # Q needs degree 2: without it the pair cannot strip to unit norm
+        p = PolynomialSpec([1e-3, 0.5, 5e-12])
+        assert complete(p).degree == 2
+        seq = synthesize(p)
+        pts = circle_grid(4096)
+        assert np.max(np.abs(evaluate_scalar(seq, pts) - seq.scale * p(pts))) <= 1e-10
+
 
 class TestSynthesize:
     def test_pauli_x_pair_realizes_z(self):
