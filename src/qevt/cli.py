@@ -11,6 +11,7 @@ error, 3 norm violation, 4 internal numerical failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -41,7 +42,16 @@ def _format_float(x: float) -> str:
 
 
 def emit_json(obj) -> str:
-    """Serialize with stable key order and 17-significant-digit floats."""
+    """Serialize with stable key order and 17-significant-digit floats.
+
+    A numpy array is written as nested lists (one level per axis) of
+    ``[real, imaginary]`` pairs, formatted in one call.
+    """
+    if isinstance(obj, np.ndarray):
+        if not np.all(np.isfinite(obj)):
+            raise ValidationError("cannot serialize non-finite float", module=_MOD)
+        values = np.stack([obj.real, obj.imag], axis=-1).ravel().tolist()
+        return _pairs_template(obj.shape) % tuple(values)
     if isinstance(obj, dict):
         inner = ",".join(f"{json.dumps(str(k))}:{emit_json(v)}" for k, v in obj.items())
         return "{" + inner + "}"
@@ -60,17 +70,23 @@ def emit_json(obj) -> str:
     raise ValidationError(f"cannot serialize {type(obj).__name__}", module=_MOD)
 
 
+def _pairs_template(shape) -> str:
+    """%-format string for an array of this shape written as [re, im] pairs."""
+    if not shape:
+        return "[%.17g,%.17g]"
+    return "[" + ",".join([_pairs_template(shape[1:])] * shape[0]) + "]"
+
+
 def matrix_payload(m: np.ndarray) -> dict:
     rows, cols = m.shape
-    data = [[float(v.real), float(v.imag)] for v in m.ravel()]
-    return {"rows": int(rows), "cols": int(cols), "data": data}
+    return {"rows": int(rows), "cols": int(cols), "data": m.ravel()}
 
 
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}", module=_MOD) from None
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path} is not valid JSON: {exc}", module=_MOD) from None
@@ -80,19 +96,24 @@ def _load_json(path: str) -> dict:
 
 
 def _pairs_to_complex(pairs, what: str) -> np.ndarray:
-    values = []
-    for entry in pairs:
-        if (
-            not isinstance(entry, (list, tuple))
-            or len(entry) != 2
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in entry)
-        ):
-            raise ValidationError(f"{what}: entries must be [real, imaginary] pairs", module=_MOD)
-        values.append(complex(entry[0], entry[1]))
-    arr = np.asarray(values, dtype=np.complex128)
-    if not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
+    """A list of [real, imaginary] pairs of JSON numbers as a complex vector."""
+    bad = ValidationError(f"{what}: entries must be [real, imaginary] pairs", module=_MOD)
+    if (
+        not isinstance(pairs, list)
+        or not set(map(type, pairs)) <= {list}
+        or not set(map(len, pairs)) <= {2}
+    ):
+        raise bad
+    flat = list(itertools.chain.from_iterable(pairs))
+    if not set(map(type, flat)) <= {int, float}:  # exact types: bool is rejected
+        raise bad
+    try:
+        values = np.array(flat, dtype=np.float64)
+    except OverflowError:  # an integer beyond the float range
+        raise ValidationError(f"{what}: non-finite values", module=_MOD) from None
+    if not np.all(np.isfinite(values)):
         raise ValidationError(f"{what}: non-finite values", module=_MOD)
-    return arr
+    return values.view(np.complex128)
 
 
 def load_matrix(path: str) -> np.ndarray:
@@ -101,7 +122,7 @@ def load_matrix(path: str) -> np.ndarray:
         if key not in payload:
             raise ValidationError(f"{path}: missing field '{key}'", module=_MOD)
     rows, cols = payload["rows"], payload["cols"]
-    if not isinstance(rows, int) or not isinstance(cols, int) or rows < 1 or cols < 1:
+    if not all(type(v) is int and v >= 1 for v in (rows, cols)):
         raise ValidationError(f"{path}: rows/cols must be positive integers", module=_MOD)
     flat = _pairs_to_complex(payload["data"], path)
     if flat.size != rows * cols:
@@ -118,10 +139,14 @@ def load_encoding(path: str) -> encoding.BlockEncoding:
             raise ValidationError(f"{path}: missing field '{key}'", module=_MOD)
     matrix = load_matrix(path)
     try:
+        ancillas, system_dim = int(payload["ancillas"]), int(payload["system_dim"])
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(
+            f"{path}: ancillas/system_dim must be integers", module=_MOD
+        ) from None
+    try:
         return encoding.BlockEncoding(
-            unitary=matrix,
-            ancilla_qubits=int(payload["ancillas"]),
-            system_dim=int(payload["system_dim"]),
+            unitary=matrix, ancilla_qubits=ancillas, system_dim=system_dim
         )
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}", module=_MOD) from None
@@ -178,9 +203,7 @@ def _cmd_synthesize(args) -> int:
         "degree": seq.degree,
         "scale": seq.scale,
         "grid_residual": residual,
-        "rotations": [
-            [[float(v.real), float(v.imag)] for v in rot.ravel()] for rot in seq.rotations
-        ],
+        "rotations": np.reshape(seq.rotations, (len(seq.rotations), 4)),
     }
     _write(args.report, emit_json(payload))
     return EXIT_OK if residual <= args.tolerance else EXIT_THRESHOLD

@@ -60,7 +60,11 @@ class RegularizedEncoding:
         source unitary acts on every counter value; then the rows with O
         not all-zero (index >= d) move one counter value up, cyclically.
         """
-        y = self.source.unitary @ x
+        order, dim, cols = x.shape
+        # one 2-D product: numpy's matmul broadcasting U over the counter
+        # axis does not reach BLAS (~100x slower at D = 512)
+        y = self.source.unitary @ x.transpose(1, 0, 2).reshape(dim, order * cols)
+        y = y.reshape(dim, order, cols).transpose(1, 0, 2)
         d = self.source.system_dim
         y[:, d:] = np.roll(y[:, d:], 1, axis=0)
         return y

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
+from qevt.errors import ValidationError
 from qevt.gqsp import _signal_block
 from qevt.linalg import PolynomialSpec
 
@@ -104,3 +107,54 @@ def full_sector_block(seq, reg) -> np.ndarray:
     x = np.zeros((reg.order, reg.source.dim, d), dtype=np.complex128)
     x[0, :d] = np.eye(d)
     return _signal_block(seq, reg.apply, x)[0, :d]
+
+
+def reference_emit_json(obj) -> str:
+    """Reference JSON writer: one recursive call and one format per float.
+
+    Matrices go through ``reference_matrix_payload`` first; the library's
+    ``cli.emit_json`` must give the same bytes and the same errors.
+    """
+    if isinstance(obj, dict):
+        inner = ",".join(f"{json.dumps(str(k))}:{reference_emit_json(v)}" for k, v in obj.items())
+        return "{" + inner + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(reference_emit_json(v) for v in obj) + "]"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        if x != x or x in (float("inf"), float("-inf")):
+            raise ValidationError("cannot serialize non-finite float", module="cli")
+        return f"{x:.17g}"
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if obj is None:
+        return "null"
+    raise ValidationError(f"cannot serialize {type(obj).__name__}", module="cli")
+
+
+def reference_matrix_payload(m: np.ndarray) -> dict:
+    """Reference matrix payload: a nested list of [re, im] float pairs, row-major."""
+    rows, cols = m.shape
+    data = [[float(v.real), float(v.imag)] for v in m.ravel()]
+    return {"rows": int(rows), "cols": int(cols), "data": data}
+
+
+def reference_pairs_to_complex(pairs, what: str) -> np.ndarray:
+    """Reference reader of [re, im] pairs: one type check and one complex() per entry."""
+    values = []
+    for entry in pairs:
+        if (
+            not isinstance(entry, (list, tuple))
+            or len(entry) != 2
+            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in entry)
+        ):
+            raise ValidationError(f"{what}: entries must be [real, imaginary] pairs", module="cli")
+        values.append(complex(entry[0], entry[1]))
+    arr = np.asarray(values, dtype=np.complex128)
+    if not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
+        raise ValidationError(f"{what}: non-finite values", module="cli")
+    return arr

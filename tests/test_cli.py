@@ -7,11 +7,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qevt import cli
+from qevt import cli, gqsp
 from qevt.encoding import BlockEncoding, dilate, verify_encoding
+from qevt.errors import ValidationError
+from qevt.linalg import PolynomialSpec
 from qevt.regularize import regularize
 
-from helpers import random_contraction, random_unitary, rng_for
+from helpers import (
+    random_complex,
+    random_contraction,
+    random_unitary,
+    reference_emit_json,
+    reference_matrix_payload,
+    reference_pairs_to_complex,
+    rng_for,
+)
 
 
 def write_matrix(path, m):
@@ -44,6 +54,151 @@ class TestJsonEmission:
     def test_round_trips_as_json(self):
         obj = {"x": [1.5, -2.25e-7], "y": {"z": True, "w": None}, "s": "hi"}
         assert json.loads(cli.emit_json(obj)) == obj
+
+
+EDGE_VALUES = (0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1.0, -3.0, 2.0**53, 0.1, 1 / 3)
+
+
+def edge_matrix() -> np.ndarray:
+    """Every edge value paired with every other, as real and imaginary parts."""
+    return np.array([[complex(re, im) for im in EDGE_VALUES] for re in EDGE_VALUES])
+
+
+class TestFormatterReference:
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 3), (3, 2), (1, 7), (16, 16)])
+    def test_random_matrices_byte_identical(self, shape):
+        rng = rng_for(shape[0] * 100 + shape[1])
+        m = random_complex(rng, shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+        assert cli.emit_json(cli.matrix_payload(m)) == reference_emit_json(
+            reference_matrix_payload(m)
+        )
+
+    def test_edge_values_byte_identical(self):
+        m = edge_matrix()
+        assert np.signbit(m.real).any() and np.signbit(m.imag).any()
+        for sub in (m, m[:1, :1], m[:2, :5], m.real.astype(complex)):
+            payload = {"ancillas": 1, "system_dim": 2, **cli.matrix_payload(sub)}
+            want = {"ancillas": 1, "system_dim": 2, **reference_matrix_payload(sub)}
+            assert cli.emit_json(payload) == reference_emit_json(want)
+
+    def test_integer_valued_floats_keep_no_exponent(self):
+        m = np.array([[1.0, -2.0], [1e16, 12345.0 - 1j]])
+        text = cli.emit_json(cli.matrix_payload(m))
+        assert text == reference_emit_json(reference_matrix_payload(m))
+        assert '"data":[[1,0],[-2,0],[10000000000000000,0],[12345,-1]]' in text
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("part", ["real", "imag"])
+    def test_non_finite_rejected_like_reference(self, bad, part):
+        m = np.zeros((2, 2), dtype=complex)
+        m[1, 0] = complex(bad, 0.0) if part == "real" else complex(0.0, bad)
+        with pytest.raises(ValidationError) as want:
+            reference_emit_json(reference_matrix_payload(m))
+        with pytest.raises(ValidationError) as got:
+            cli.emit_json(cli.matrix_payload(m))
+        assert str(got.value) == str(want.value)
+
+    def test_synthesize_rotations_one_row_per_rotation(self, tmp_path, capsys):
+        coeffs = [0.3, -0.2j, 0.1 + 0.25j, 0.0, -0.15]
+        poly = write_poly(tmp_path / "p.json", coeffs)
+        assert cli.main(["synthesize", "--coeffs", poly]) == 0
+        spec = PolynomialSpec(coeffs)
+        seq = gqsp.synthesize(spec)
+        want = {
+            "degree": seq.degree,
+            "scale": seq.scale,
+            "grid_residual": gqsp._grid_residual(seq, spec, 4096),
+            "rotations": [
+                [[float(v.real), float(v.imag)] for v in rot.ravel()] for rot in seq.rotations
+            ],
+        }
+        assert capsys.readouterr().out == reference_emit_json(want) + "\n"
+
+
+class TestLoaderReference:
+    def test_matches_reference_bitwise(self):
+        rng = rng_for(11)
+        values = list(EDGE_VALUES) + random_complex(rng, 40).real.tolist()
+        values += [0, -7, 2**53 + 1, 10**300, -(10**20)]
+        pairs = json.loads(json.dumps([[values[k], values[-1 - k]] for k in range(len(values))]))
+        got = cli._pairs_to_complex(pairs, "m.json")
+        want = reference_pairs_to_complex(pairs, "m.json")
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()  # signed zeros included
+
+    def test_empty_list(self):
+        assert cli._pairs_to_complex([], "m.json").shape == (0,)
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            [[True, 0.0]],
+            [[0.0, False]],
+            [["1.0", 0.0]],
+            [[None, 0.0]],
+            [None],
+            [[1.0, 0.0], [[1.0], 0.0]],
+            [[1.0, [0.0]]],
+            [[1.0]],
+            [[1.0, 0.0, 0.0]],
+            [[1.0, 0.0], [2.0]],
+            [{"re": 1.0, "im": 0.0}],
+            "ab",
+            [[float("nan"), 0.0]],
+            [[0.0, float("-inf")]],
+        ],
+    )
+    def test_rejects_like_reference(self, pairs):
+        with pytest.raises(ValidationError) as want:
+            reference_pairs_to_complex(pairs, "m.json")
+        with pytest.raises(ValidationError) as got:
+            cli._pairs_to_complex(pairs, "m.json")
+        assert str(got.value) == str(want.value)
+
+
+class TestMalformedInputs:
+    ONE_UNITARY = [[1, 0], [0, 0], [0, 0], [1, 0]]
+
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            ("dilate", '{"rows": 1, "cols": 1, "data": 5}',
+             "entries must be [real, imaginary] pairs"),
+            ("synthesize", '{"coefficients": 5}', "entries must be [real, imaginary] pairs"),
+            ("dilate", '{"rows": 1, "cols": 1, "data": [[1' + "0" * 400 + ', 0]]}',
+             "non-finite values"),
+            ("dilate", '{"rows": true, "cols": 1, "data": [[0, 0]]}',
+             "rows/cols must be positive integers"),
+            ("regularize", json.dumps({"ancillas": "x", "system_dim": 1, "rows": 2, "cols": 2,
+                                       "data": ONE_UNITARY}),
+             "ancillas/system_dim must be integers"),
+        ],
+        ids=["data-int", "coefficients-int", "huge-int", "rows-true", "ancillas-string"],
+    )
+    def test_exit_2_with_one_json_line(self, tmp_path, capsys, command, text, message):
+        path = tmp_path / "in.json"
+        path.write_text(text)
+        argv = {
+            "dilate": ["dilate", str(path)],
+            "synthesize": ["synthesize", "--coeffs", str(path)],
+            "regularize": ["regularize", str(path), "--order", "2"],
+        }[command]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error == {"error": f"{path}: {message}", "module": "cli", "exit": 2}
+
+
+    def test_undecodable_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "in.json"
+        path.write_bytes(b"\xff\xfe{")
+        assert cli.main(["dilate", str(path)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"].startswith(f"cannot read {path}: ")
 
 
 class TestDilateCommand:
@@ -107,6 +262,22 @@ class TestRegularizeCommand:
         for k in range(5):
             block = np.linalg.matrix_power(u, k)[:2, :2]
             assert np.linalg.norm(block - np.linalg.matrix_power(a, k), 2) <= 1e-10
+
+    def test_overflowing_gram_product_exits_2(self, tmp_path, capsys):
+        # finite entries whose U^dag U overflows to inf - inf = NaN
+        u = np.array([[1e200, 1e200], [1e200, -1e200]])
+        enc = tmp_path / "enc.json"
+        write_matrix(enc, u)
+        payload = json.loads(enc.read_text())
+        payload.update(ancillas=1, system_dim=1)
+        enc.write_text(json.dumps(payload))
+        out = tmp_path / "reg.json"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert cli.main(["regularize", str(enc), str(out), "--order", "2"]) == 2
+        assert not out.exists()
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["exit"] == 2
 
     def test_bad_order_exits_2(self, tmp_path):
         a = random_contraction(rng_for(2), 2, 0.7)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from qevt import encoding
 from qevt.encoding import (
+    UNITARITY_TOL,
     BlockEncoding,
     dilate,
     regularity_order,
@@ -23,6 +25,42 @@ class TestBlockEncoding:
     def test_rejects_bad_dimension(self):
         with pytest.raises(ValidationError, match="dimension"):
             BlockEncoding(unitary=np.eye(4), ancilla_qubits=1, system_dim=3)
+
+    def test_small_defect_on_many_entries_is_accepted(self):
+        # ||E||_F = 0.9e-9 * sqrt(64) is above the tolerance, ||E|| = 0.9e-9 is not:
+        # the exact operator norm decides
+        u = random_unitary(rng_for(5), 64) * np.sqrt(1 + 0.9e-9)
+        defect = u.conj().T @ u - np.eye(64)
+        assert np.linalg.norm(defect) > UNITARITY_TOL >= opnorm(defect)
+        BlockEncoding(unitary=u, ancilla_qubits=6, system_dim=1)
+
+    def test_exact_unitary_skips_the_eigensolve(self, monkeypatch):
+        def fail(_):
+            raise AssertionError("operator norm computed")
+
+        monkeypatch.setattr(encoding, "operator_norm", fail)
+        BlockEncoding(unitary=random_unitary(rng_for(6), 16), ancilla_qubits=2, system_dim=4)
+
+    def test_defect_above_tolerance_reports_operator_norm(self):
+        # one singular value off by 1.1e-9, fifteen more by 0.5e-9: the message
+        # carries ||E|| = 1.1e-9, not ||E||_F ~ 2.2e-9
+        s = np.sqrt(1 + np.array([1.1e-9] + [0.5e-9] * 15 + [0.0] * 16))
+        u = random_unitary(rng_for(7), 32) * s
+        defect = u.conj().T @ u - np.eye(32)
+        assert np.linalg.norm(defect) > 2 * opnorm(defect)
+        with pytest.raises(ValidationError) as exc:
+            BlockEncoding(unitary=u, ancilla_qubits=5, system_dim=1)
+        assert str(exc.value) == f"matrix is not unitary: ||U^dag U - I|| = {opnorm(defect):.3e}"
+        assert f"{opnorm(defect):.3e}" == "1.100e-09"
+
+    def test_overflowing_gram_product_is_rejected(self):
+        # finite entries whose U^dag U overflows to inf - inf = NaN: a NaN
+        # Frobenius norm must not pass for a small one
+        u = np.array([[1e200, 1e200], [1e200, -1e200]], dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isnan(np.linalg.norm(u.conj().T @ u - np.eye(2)))
+            with pytest.raises(ValidationError, match="NaN or Inf"):
+                BlockEncoding(unitary=u, ancilla_qubits=1, system_dim=1)
 
     def test_unitary_is_frozen(self):
         be = BlockEncoding(unitary=np.eye(4), ancilla_qubits=1, system_dim=2)
