@@ -196,6 +196,8 @@ def _cmd_regularize(args) -> int:
 
 
 def _cmd_synthesize(args) -> int:
+    if args.grid < 1:
+        raise ValidationError(f"--grid must be positive, got {args.grid}", module=_MOD)
     poly = load_polynomial(args.coeffs)
     seq = gqsp.synthesize(poly)
     residual = gqsp._grid_residual(seq, poly, args.grid)

@@ -35,12 +35,12 @@ class BlockEncoding:
             raise ValidationError("ancilla count must be nonnegative", module=_MOD)
         if self.system_dim < 1:
             raise ValidationError("system dimension must be positive", module=_MOD)
-        expected = (2**self.ancilla_qubits) * self.system_dim
-        if u.shape[0] != expected:
+        dim, a = u.shape[0], self.ancilla_qubits
+        # 2^a > dim cannot match; rejecting that first never builds a power of
+        # two with thousands of digits, nor formats one into a message
+        if a >= dim.bit_length() or 2**a * self.system_dim != dim:
             raise ValidationError(
-                f"unitary dimension {u.shape[0]} != 2^{self.ancilla_qubits} * "
-                f"{self.system_dim} = {expected}",
-                module=_MOD,
+                f"unitary dimension {dim} != 2^{a} * {self.system_dim}", module=_MOD
             )
         # ||E|| <= ||E||_F, so a small Frobenius norm accepts without the
         # eigensolve; otherwise (a NaN norm included, from an overflowing

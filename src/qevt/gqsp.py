@@ -12,7 +12,8 @@ strip one rotation per degree from the pair. The factor comes from FFTs of
 log(1 - |P|^2) on a grid sized from the degree and sup |P| (the outer
 function, Weiss style) when that grid has at most 2^15 points; closer to
 the margin it comes from pairing the roots of the polynomial lift of
-1 - |P|^2, taken as the eigenvalues of its companion matrix.
+1 - |P|^2, taken as the eigenvalues of its companion matrix. P and Q on
+roots of unity, on grids that grow with the degree, are one FFT each.
 Replacing diag(1, z) with the controlled unitary diag(I, U) lifts the
 scalar identity to a block-encoding of P(U) for unitary U. That circuit
 is applied, never formed: the d columns entering with the processing
@@ -36,7 +37,6 @@ ROTATION_TOL = 1e-12
 SUP_MARGIN = 1e-6  # polynomials must satisfy sup |P| <= 1 - SUP_MARGIN for completion
 OUTER_GRID_CAP = 2**15  # largest FFT grid for the outer-function completion (512 KiB per array)
 STRIP_TOL = 1e-13  # both leading coefficients below this aborts layer stripping
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,37 +73,31 @@ class GqspSequence:
         return len(self.rotations) - 1
 
 
-def sup_norm_on_circle(p, grid: int = 16384) -> float:
-    """max |P(z)| over the unit circle: dense grid plus one golden-section refinement."""
+def _on_circle(coeffs: np.ndarray, grid: int) -> np.ndarray:
+    """P at the grid-th roots of unity, one FFT of the coefficients folded modulo grid."""
+    folded = np.pad(coeffs, (0, -coeffs.size % grid)).reshape(-1, grid).sum(axis=0)
+    return grid * np.fft.ifft(folded)
+
+
+def sup_norm_on_circle(p) -> float:
+    """max |P(z)| over the unit circle: an FFT grid of >= 4 (n + 1) points, then a zoom.
+
+    Each round evaluates |P| at 33 points across the bracket (at first one grid step
+    either side of the largest grid value), recentres on the largest and shrinks it 16x.
+    """
     p = as_polynomial(p)
-    if grid < 4 * (p.degree + 1):
-        raise ValidationError(
-            f"grid {grid} too coarse for degree {p.degree}: need >= {4 * (p.degree + 1)}",
-            module=_MOD,
-        )
-    theta = 2 * np.pi * np.arange(grid) / grid
-    values = np.abs(grid * np.fft.ifft(p.array, grid))  # P at the grid-th roots of unity
+    grid = max(16384, 1 << (4 * p.degree + 3).bit_length())  # 2^ceil(log2 4(n + 1))
+    values = np.abs(_on_circle(p.array, grid))
     i = int(np.argmax(values))
     best = float(values[i])
-
-    def magnitude(t: float) -> float:
-        return float(abs(p(np.exp(1j * t))))
-
-    lo = theta[i] - 2 * np.pi / grid
-    hi = theta[i] + 2 * np.pi / grid
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = magnitude(x1), magnitude(x2)
-    while hi - lo > 1e-13:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = magnitude(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = magnitude(x1)
-    return max(best, f1, f2)
+    centre, width = 2 * np.pi * i / grid, 4 * np.pi / grid
+    while width > 1e-14:
+        ts = centre + width * np.linspace(-0.5, 0.5, 33)
+        values = np.abs(p(np.exp(1j * ts)))
+        i = int(np.argmax(values))
+        best = max(best, float(values[i]))
+        centre, width = ts[i], width / 16
+    return best
 
 
 def _circle_deficit_coefficients(p: PolynomialSpec) -> np.ndarray:
@@ -140,8 +134,9 @@ def complete(p) -> PolynomialSpec:
       constant is fixed from the mean of 1 - |P|^2.
 
     Either way the result must satisfy |P|^2 + |Q|^2 = 1 within 1e-8 on
-    4096 circle points. Requires sup |P| <= 1 - 1e-6 so no genuine roots
-    sit on the circle; rescale the polynomial otherwise.
+    max(4096, 2^ceil(log2 4(n + 1))) circle points, at least twice its
+    bandwidth 2n. Requires sup |P| <= 1 - 1e-6 so no genuine roots sit on
+    the circle; rescale the polynomial otherwise.
     """
     p = as_polynomial(p)
     return _complete(p, sup_norm_on_circle(p))
@@ -176,12 +171,13 @@ def _complete(p: PolynomialSpec, sup: float) -> PolynomialSpec:
     else:
         q = _root_completion(c[n - n_eff : n + n_eff + 1], n_eff, mean_deficit)
 
-    theta = 2 * np.pi * np.arange(4096) / 4096
-    pts = np.exp(1j * theta)
-    residual = float(np.max(np.abs(np.abs(p(pts)) ** 2 + np.abs(q(pts)) ** 2 - 1.0)))
+    # |P|^2 + |Q|^2 has bandwidth 2n: 4 (n + 1) points sample it at twice that
+    check = max(4096, 1 << (4 * n + 3).bit_length())
+    total = np.abs(_on_circle(p.array, check)) ** 2 + np.abs(_on_circle(q.array, check)) ** 2
+    residual = float(np.max(np.abs(total - 1.0)))
     if residual > 1e-8:
         raise NumericalError(
-            f"completion residual {residual:.3e} exceeds 1e-8 on the verification grid",
+            f"completion residual {residual:.3e} exceeds 1e-8 on {check} circle points",
             module=_MOD,
         )
     return q
@@ -195,7 +191,7 @@ def _outer_completion(p: PolynomialSpec, n_eff: int, grid: int) -> PolynomialSpe
     factor has no roots in the disk; its conjugate reversal has them all
     inside and the same modulus on the circle.
     """
-    values = grid * np.fft.ifft(p.array, grid)  # P at the grid-th roots of unity
+    values = _on_circle(p.array, grid)
     log_q = np.fft.rfft(0.5 * np.log1p(-np.abs(values) ** 2)) / grid  # frequencies 0..grid/2
     log_q[1:-1] *= 2.0  # the analytic half: each positive frequency carries its negative twin
     outer = np.fft.fft(np.exp(grid * np.fft.ifft(log_q, grid))) / grid
@@ -322,9 +318,9 @@ def evaluate_scalar(seq: GqspSequence, z):
 
 def _grid_residual(seq: GqspSequence, p: PolynomialSpec, grid: int) -> float:
     """max |evaluate_scalar(seq, z) - scale * P(z)| over the grid-th roots of unity."""
-    theta = 2 * np.pi * np.arange(grid) / grid
-    pts = np.exp(1j * theta)
-    return float(np.max(np.abs(evaluate_scalar(seq, pts) - seq.scale * p(pts))))
+    pts = np.exp(1j * (2 * np.pi * np.arange(grid) / grid))
+    error = evaluate_scalar(seq, pts) - seq.scale * _on_circle(p.array, grid)
+    return float(np.max(np.abs(error)))
 
 
 def _signal_block(seq: GqspSequence, signal, x: np.ndarray) -> np.ndarray:

@@ -172,8 +172,12 @@ class TestMalformedInputs:
             ("regularize", json.dumps({"ancillas": "x", "system_dim": 1, "rows": 2, "cols": 2,
                                        "data": ONE_UNITARY}),
              "ancillas/system_dim must be integers"),
+            ("regularize", json.dumps({"ancillas": 20000, "system_dim": 1, "rows": 2, "cols": 2,
+                                       "data": ONE_UNITARY}),
+             "unitary dimension 2 != 2^20000 * 1"),
         ],
-        ids=["data-int", "coefficients-int", "huge-int", "rows-true", "ancillas-string"],
+        ids=["data-int", "coefficients-int", "huge-int", "rows-true", "ancillas-string",
+             "ancillas-huge"],
     )
     def test_exit_2_with_one_json_line(self, tmp_path, capsys, command, text, message):
         path = tmp_path / "in.json"
@@ -296,6 +300,18 @@ class TestSynthesizeCommand:
         assert payload["grid_residual"] <= 1e-10
         assert payload["scale"] == pytest.approx(1 - 1e-6)
         assert len(payload["rotations"]) == 3
+
+    @pytest.mark.parametrize("grid", ["0", "-3"])
+    def test_nonpositive_grid_exits_2(self, tmp_path, capsys, grid):
+        poly = write_poly(tmp_path / "p.json", [0.5, 0, 0.5])
+        assert cli.main(["synthesize", "--coeffs", poly, "--grid", grid]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error == {"error": f"--grid must be positive, got {grid}", "module": "cli",
+                         "exit": 2}
 
     def test_root_finding_failure_exits_4(self, tmp_path, capsys, monkeypatch):
         def failing(coefficients):
@@ -479,6 +495,18 @@ class TestVerifyCommand:
         unitary = write_matrix(tmp_path / "u.json", np.eye(4))
         matrix = write_matrix(tmp_path / "a.json", np.eye(3))
         assert cli.main(["verify", unitary, matrix, "--ancillas", "1", "--order", "1"]) == 2
+
+    def test_huge_ancilla_count_exits_2(self, tmp_path, capsys):
+        # 2^20000 has more digits than Python formats by default
+        unitary = write_matrix(tmp_path / "u.json", np.eye(4))
+        matrix = write_matrix(tmp_path / "a.json", np.eye(2))
+        code = cli.main(["verify", unitary, matrix, "--ancillas", "20000", "--order", "1"])
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error == {"error": "unitary dimension 4 != 2^20000 * 2", "module": "encoding",
+                         "exit": 2}
 
 
 class TestDemoCommand:

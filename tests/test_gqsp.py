@@ -46,9 +46,20 @@ class TestSupNormOnCircle:
             got = sup_norm_on_circle(PolynomialSpec(coeffs))
             assert abs(got - grid_sup(coeffs)) <= 1e-7
 
-    def test_grid_too_coarse_rejected(self):
-        with pytest.raises(ValidationError):
-            sup_norm_on_circle(PolynomialSpec(np.ones(10)), grid=16)
+    def test_degree_beyond_16384_points(self):
+        # the grid grows with the degree: 4 (n + 1) points at degree 5000
+        p = PolynomialSpec(np.r_[0.5, np.zeros(4999), 0.25j])
+        assert sup_norm_on_circle(p) == pytest.approx(0.75, abs=1e-12)
+
+
+class TestOnCircle:
+    @pytest.mark.parametrize("grid", [16, 171, 512], ids=["folded", "exact", "padded"])
+    def test_matches_horner_at_roots_of_unity(self, grid):
+        # 16 points on degree 170 is `qevt synthesize --grid 16`
+        p = PolynomialSpec(random_complex(rng_for(19), 171))
+        pts = circle_grid(grid)
+        bound = 1e-13 * np.sum(np.abs(p.array))  # both are sums of 171 rounded terms
+        assert np.max(np.abs(gqsp._on_circle(p.array, grid) - p(pts))) <= bound
 
 
 class TestComplete:
@@ -127,6 +138,16 @@ class TestComplete:
         with pytest.raises(NumericalError, match="beyond degree 8") as info:
             gqsp._outer_completion(p, 8, 64)
         assert info.value.module == "gqsp"
+
+    def test_residual_checked_between_4096_points(self, monkeypatch):
+        # |P|^2 + |Q|^2 - 1 = 0.18 sin(2048 t) for this wrong Q: zero on the
+        # 4096th roots of unity, 0.18 between them
+        p = PolynomialSpec(np.r_[0.3, np.zeros(2047), 0.3j])
+        wrong = PolynomialSpec([np.sqrt(0.82)])
+        monkeypatch.setattr(gqsp, "_outer_completion", lambda *args: wrong)
+        monkeypatch.setattr(gqsp, "_root_completion", lambda *args: wrong)
+        with pytest.raises(NumericalError, match="residual 1.800e-01"):
+            complete(p)
 
     def test_rejects_boundary_polynomial(self):
         with pytest.raises(NormBoundError, match="rescale"):
