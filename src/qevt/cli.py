@@ -88,7 +88,7 @@ def _load_json(path: str) -> dict:
             payload = json.load(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}", module=_MOD) from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer literal past Python's digit limit
         raise ValidationError(f"{path} is not valid JSON: {exc}", module=_MOD) from None
     if not isinstance(payload, dict):
         raise ValidationError(f"{path}: top-level JSON object expected", module=_MOD)

@@ -8,17 +8,16 @@ circle as the top-left entry of the product
 
 Synthesis runs in two stages: complete P to a pair (P, Q) with
 |P|^2 + |Q|^2 = 1 on the circle (a Fejer-Riesz factor of 1 - |P|^2), then
-strip one rotation per degree from the pair. The factor comes from FFTs of
-log(1 - |P|^2) on a grid sized from the degree and sup |P| (the outer
-function, Weiss style) when that grid has at most 2^15 points; closer to
-the margin it comes from pairing the roots of the polynomial lift of
-1 - |P|^2, taken as the eigenvalues of its companion matrix. P and Q on
-roots of unity, on grids that grow with the degree, are one FFT each.
-Replacing diag(1, z) with the controlled unitary diag(I, U) lifts the
-scalar identity to a block-encoding of P(U) for unitary U. That circuit
-is applied, never formed: the d columns entering with the processing
-qubit at zero are carried through it, and only the block they leave in
-the processing-0 half is returned.
+strip one rotation per degree from the pair. The factor starts as the
+outer function (FFTs of log(1 - |P|^2) on a grid sized from the degree,
+damped near the margin so the grid resolves it) and is finished by
+Wilson's Newton iteration on its coefficients. P and Q on roots of unity,
+on grids that grow with the degree, are one FFT each; the sup-norm zooms
+from a degree-sized grid. Replacing diag(1, z) with the controlled unitary
+diag(I, U) lifts the scalar identity to a block-encoding of P(U) for
+unitary U. That circuit is applied, never formed: the d columns entering
+with the processing qubit at zero are carried through it, and only the
+block they leave in the processing-0 half is returned.
 """
 
 from __future__ import annotations
@@ -35,7 +34,9 @@ _MOD = "gqsp"
 
 ROTATION_TOL = 1e-12
 SUP_MARGIN = 1e-6  # polynomials must satisfy sup |P| <= 1 - SUP_MARGIN for completion
-OUTER_GRID_CAP = 2**15  # largest FFT grid for the outer-function completion (512 KiB per array)
+NEWTON_TOL = 4e-16  # completion converged: every deficit coefficient matched within this times c_0
+NEWTON_STEPS = 30  # Newton steps allowed for the completion before it fails
+TAYLOR_TERMS = 20  # the sup-norm zoom's expansions: the dropped terms are below 1e-19 ||p||_1
 STRIP_TOL = 1e-13  # both leading coefficients below this aborts layer stripping
 
 
@@ -80,24 +81,52 @@ def _on_circle(coeffs: np.ndarray, grid: int) -> np.ndarray:
 
 
 def sup_norm_on_circle(p) -> float:
-    """max |P(z)| over the unit circle: an FFT grid of >= 4 (n + 1) points, then a zoom.
+    """max |P(z)| over the unit circle: an FFT grid of 2^ceil(log2 8(n + 1)) points, then a zoom.
 
-    Each round evaluates |P| at 33 points across the bracket (at first one grid step
-    either side of the largest grid value), recentres on the largest and shrinks it 16x.
+    f = |P|^2 is a trigonometric polynomial of degree n, so Bernstein's inequality
+    bounds |f''| by n^2 ||f - c||, and ||f - c|| (c the midrange of the samples) by
+    their half-spread over 1 - (pi n / N)^2 / 2. The maximum of f therefore lies at
+    most (n s)^2 ||f - c|| / 8 above the nearest of samples spaced s apart. Every grid
+    local maximum within that slack of the best sample is zoomed: each round evaluates
+    33 points across every bracket in one Horner call, on the Taylor expansions of P
+    about the brackets' grid points (their coefficients from FFTs), recentres each
+    bracket on its largest value, shrinks it 16x and drops the brackets that can no
+    longer beat the best, until the slack is below rounding.
     """
     p = as_polynomial(p)
-    grid = max(16384, 1 << (4 * p.degree + 3).bit_length())  # 2^ceil(log2 4(n + 1))
-    values = np.abs(_on_circle(p.array, grid))
-    i = int(np.argmax(values))
-    best = float(values[i])
-    centre, width = 2 * np.pi * i / grid, 4 * np.pi / grid
-    while width > 1e-14:
-        ts = centre + width * np.linspace(-0.5, 0.5, 33)
-        values = np.abs(p(np.exp(1j * ts)))
-        i = int(np.argmax(values))
-        best = max(best, float(values[i]))
-        centre, width = ts[i], width / 16
-    return best
+    n = p.degree
+    grid = 1 << (8 * n + 7).bit_length()  # 2^ceil(log2 8(n + 1))
+    step = 2 * np.pi / grid
+    # row r holds sum_k p_k (i k step)^r / r! z^k at the grid points: the Taylor
+    # coefficients of P(z e^{i u step}) in u, with |k step u| < 0.85 for |u| < 1.07
+    orders = np.arange(TAYLOR_TERMS)
+    factorials = np.cumprod(np.maximum(orders, 1), dtype=float)[:, None]
+    terms = p.array * (1j * step * np.arange(n + 1)) ** orders[:, None] / factorials
+    taylor = grid * np.fft.ifft(terms, grid)
+    values = np.abs(taylor[0]) ** 2
+    best = float(values.max())
+    # a bound on ||f - c||, c the midrange of the samples
+    deviation = 0.5 * (best - float(values.min())) / (1.0 - 0.5 * (np.pi * n / grid) ** 2)
+
+    def slack(spacing: float) -> float:
+        return (n * spacing * step) ** 2 * deviation / 8.0
+
+    local = (values >= np.roll(values, 1)) & (values >= np.roll(values, -1))
+    taylor = taylor[:, local & (values + slack(1.0) >= best)]
+    centres = np.zeros(taylor.shape[1])  # in grid steps from each bracket's grid point
+    width = 1.0  # half-width of every bracket, in grid steps
+    offsets = np.linspace(-1.0, 1.0, 33)
+    while centres.size and slack(width) > 2.0**-53 * best:
+        points = centres + width * offsets[:, None]
+        values = np.abs(np.polynomial.polynomial.polyval(points, taylor, tensor=False)) ** 2
+        peak = np.argmax(values, axis=0), np.arange(values.shape[1])
+        peaks = values[peak]
+        best = max(best, float(peaks.max()))
+        width /= 16.0
+        keep = peaks + slack(width) >= best
+        centres = points[peak][keep]
+        taylor = taylor[:, keep]
+    return math.sqrt(best)
 
 
 def _circle_deficit_coefficients(p: PolynomialSpec) -> np.ndarray:
@@ -115,28 +144,27 @@ def complete(p) -> PolynomialSpec:
 
     Q is the factor of the trigonometric polynomial 1 - |P|^2 with every
     root inside the open unit disk and a real positive leading coefficient,
-    of degree n_eff, the bandwidth of 1 - |P|^2: n minus the index of the
-    lowest nonzero coefficient of P, exactly. It is computed one of two
-    ways, chosen by the grid N = max(4096, 2^ceil(log2(16 (n_eff + 1) /
-    sqrt(1 - sup|P|^2)))):
+    of degree m = n_eff, the bandwidth of 1 - |P|^2: n minus the index of
+    the lowest nonzero coefficient of P, exactly. Its conjugate reversal o
+    is the outer factor, with every root outside the closed disk, and is
+    found in two steps:
 
-    - N <= 2^15: the outer function. FFTs on N points take the Fourier
-      series of log|Q| = log(1 - |P|^2) / 2, keep its analytic half,
-      exponentiate and transform back; the conjugate reversal of the
-      first n_eff + 1 coefficients is Q. Coefficients beyond n_eff above
-      1e-12 (the grid was too coarse) raise ``NumericalError``.
-    - otherwise: the roots of the degree-2 n_eff lift of 1 - |P|^2, as
-      the eigenvalues of its companion matrix (numpy's ``polyroots``, on
-      the real eigenproblem when the lift is real). One root of each
-      conjugate-reciprocal pair is kept (the inner one; roots caught
-      outside are reflected inward), their monic product is rebuilt from
-      its values on the roots of unity by one FFT, and the overall
-      constant is fixed from the mean of 1 - |P|^2.
+    - a start: FFTs on N = max(4096, 2^ceil(log2 min(16 (m + 1) /
+      sqrt(1 - sup|P|^2), 64 (m + 1)))) points take the Fourier series of
+      log(1 - rho^2 |P|^2) / 2, keep its analytic half, exponentiate and
+      transform back (the outer function). rho = 1 unless that would put
+      the minimum of the deficit below (4 (m + 1) / N)^2, where N stops
+      resolving it; then rho^2 = (1 - (4 (m + 1) / N)^2) / sup|P|^2;
+    - Wilson's Newton iteration on sum_j o_{j+k} conj(o_j) = c_k, the
+      Laurent coefficients of 1 - |P|^2 for k = 0..m, with Im o_0 = 0 (one
+      dense real 2 (m + 1) solve per step). It keeps the start's roots on
+      their side of the circle, and it must bring every c_k within
+      4e-16 c_0 in at most NEWTON_STEPS steps, else ``NumericalError``.
 
-    Either way the result must satisfy |P|^2 + |Q|^2 = 1 within 1e-8 on
-    max(4096, 2^ceil(log2 4(n + 1))) circle points, at least twice its
-    bandwidth 2n. Requires sup |P| <= 1 - 1e-6 so no genuine roots sit on
-    the circle; rescale the polynomial otherwise.
+    The result must satisfy |P|^2 + |Q|^2 = 1 within 1e-8 on max(4096,
+    2^ceil(log2 4(n + 1))) circle points, at least twice its bandwidth 2n.
+    Requires sup |P| <= 1 - 1e-6 so no genuine roots sit on the circle;
+    rescale the polynomial otherwise.
     """
     p = as_polynomial(p)
     return _complete(p, sup_norm_on_circle(p))
@@ -146,7 +174,6 @@ def _complete(p: PolynomialSpec, sup: float) -> PolynomialSpec:
     """``complete`` for a polynomial whose circle sup-norm is already known."""
     c = _circle_deficit_coefficients(p)
     n = p.degree
-    mean_deficit = float(c[n].real)  # 1 - sum |p_k|^2, the Fourier mean of 1 - |P|^2
     if float(np.max(np.abs(c))) <= 1e-14:
         # |P| == 1 identically on the circle (a unimodular monomial): Q = 0 exactly
         return PolynomialSpec([0.0])
@@ -163,19 +190,20 @@ def _complete(p: PolynomialSpec, sup: float) -> PolynomialSpec:
     # with ord0 the index of the lowest nonzero coefficient
     n_eff = n - int(np.argmax(p.array != 0))
     if n_eff == 0:
-        return PolynomialSpec([np.sqrt(mean_deficit)])
-    # log(1 - |P|^2) varies on the scale sqrt(1 - sup^2) / (n_eff + 1) in angle
-    grid = max(4096, 1 << math.ceil(math.log2(16 * (n_eff + 1) / math.sqrt(1.0 - sup * sup))))
-    if grid <= OUTER_GRID_CAP:
-        q = _outer_completion(p, n_eff, grid)
-    else:
-        q = _root_completion(c[n - n_eff : n + n_eff + 1], n_eff, mean_deficit)
+        return PolynomialSpec([np.sqrt(c[n].real)])
+    # log(1 - |P|^2) varies on the scale sqrt(1 - sup^2) / (n_eff + 1) in angle;
+    # past 64 (n_eff + 1) points the start is damped instead of the grid grown
+    rule = 16 * (n_eff + 1) / math.sqrt(1.0 - sup * sup)
+    grid = max(4096, 1 << math.ceil(math.log2(min(rule, 64 * (n_eff + 1)))))
+    damping = min(1.0, (1.0 - (4 * (n_eff + 1) / grid) ** 2) / (sup * sup))
+    outer = _wilson_newton(_outer_start(p, n_eff, grid, damping), c[n : n + n_eff + 1])
+    q = _real_positive_lead(np.conj(outer[::-1]))
 
     # |P|^2 + |Q|^2 has bandwidth 2n: 4 (n + 1) points sample it at twice that
     check = max(4096, 1 << (4 * n + 3).bit_length())
     total = np.abs(_on_circle(p.array, check)) ** 2 + np.abs(_on_circle(q.array, check)) ** 2
     residual = float(np.max(np.abs(total - 1.0)))
-    if residual > 1e-8:
+    if not residual <= 1e-8:
         raise NumericalError(
             f"completion residual {residual:.3e} exceeds 1e-8 on {check} circle points",
             module=_MOD,
@@ -183,52 +211,71 @@ def _complete(p: PolynomialSpec, sup: float) -> PolynomialSpec:
     return q
 
 
-def _outer_completion(p: PolynomialSpec, n_eff: int, grid: int) -> PolynomialSpec:
-    """Q from the outer function exp(H) with Re H = log|Q| = log(1 - |P|^2) / 2 on the circle.
+def _outer_start(p: PolynomialSpec, n_eff: int, grid: int, damping: float) -> np.ndarray:
+    """Coefficients 0..n_eff of the outer function exp(H), Re H = log(1 - damping |P|^2) / 2.
 
-    Its coefficients come from FFTs on ``grid`` points: keep the analytic half
-    of the Fourier series of log|Q|, exponentiate, transform back. The outer
-    factor has no roots in the disk; its conjugate reversal has them all
-    inside and the same modulus on the circle.
+    FFTs on ``grid`` points: keep the analytic half of the Fourier series of
+    the log-modulus, exponentiate, transform back. An outer function has no
+    roots in the disk. A deficit that is not positive on the grid gives NaN
+    or infinite coefficients, which the Newton residual check rejects.
     """
     values = _on_circle(p.array, grid)
-    log_q = np.fft.rfft(0.5 * np.log1p(-np.abs(values) ** 2)) / grid  # frequencies 0..grid/2
-    log_q[1:-1] *= 2.0  # the analytic half: each positive frequency carries its negative twin
-    outer = np.fft.fft(np.exp(grid * np.fft.ifft(log_q, grid))) / grid
-    tail = float(np.max(np.abs(outer[n_eff + 1 :])))
-    if tail > 1e-12:
+    with np.errstate(all="ignore"):
+        log_outer = np.fft.rfft(0.5 * np.log1p(-damping * np.abs(values) ** 2)) / grid
+        log_outer[1:-1] *= 2.0  # the analytic half: positive frequencies carry their twins
+        return (np.fft.fft(np.exp(grid * np.fft.ifft(log_outer, grid))) / grid)[: n_eff + 1]
+
+
+def _wilson_newton(outer: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Newton's method for sum_j o_{j+k} conj(o_j) = target_k, k = 0..m, from ``outer``.
+
+    Writing the step as x + iy, the Jacobian is [[RT + RH, IT + IH], [IH - IT,
+    RT - RH]] with T_{ki} = o_{i-k} (Toeplitz) and H_{kj} = o_{k+j} (Hankel),
+    zero outside 0..m, R/I their real and imaginary parts. The imaginary row
+    of k = 0 vanishes identically; the gauge y_0 = 0 (Im o_0 stays 0) takes
+    its place. The blocks are written in place from sliding windows over the
+    zero-padded parts of o.
+    """
+    m = outer.size - 1
+    size = m + 1
+    tol = NEWTON_TOL * float(target[0].real)
+    jacobian = np.empty((2 * size, 2 * size))
+    padded = np.zeros((2, 3 * m + 1))  # real and imaginary parts of o between m zeros each side
+    windows = np.lib.stride_tricks.sliding_window_view(padded, size, axis=1)
+    (rt, it), (rh, ih) = windows[:, m::-1], windows[:, m:]  # [k, i]: o_{i-k}, o_{k+i}
+
+    def mismatch(o: np.ndarray) -> np.ndarray:
+        return target - np.convolve(o, np.conj(o[::-1]))[m:]
+
+    error = mismatch(outer)
+    residual = float(np.max(np.abs(error)))
+    steps = 0
+    while residual > tol and steps < NEWTON_STEPS:  # False on NaN: stop and fail below
+        padded[0, m : 2 * m + 1] = outer.real
+        padded[1, m : 2 * m + 1] = outer.imag
+        np.add(rt, rh, out=jacobian[:size, :size])
+        np.add(it, ih, out=jacobian[:size, size:])
+        np.subtract(ih, it, out=jacobian[size:, :size])
+        np.subtract(rt, rh, out=jacobian[size:, size:])
+        jacobian[size] = 0.0
+        jacobian[size, size] = 1.0
+        rhs = np.concatenate([error.real, error.imag])
+        rhs[size] = 0.0
+        try:
+            step = np.linalg.solve(jacobian, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"completion Newton step failed: {exc}", module=_MOD) from exc
+        outer = outer + (step[:size] + 1j * step[size:])
+        error = mismatch(outer)
+        residual = float(np.max(np.abs(error)))
+        steps += 1
+    if not residual <= tol:
         raise NumericalError(
-            f"outer completion left coefficients up to {tail:.3e} beyond degree {n_eff} "
-            f"on {grid} points",
+            f"completion did not converge: coefficient residual {residual:.3e} "
+            f"after {steps} Newton steps (tolerance {tol:.3e})",
             module=_MOD,
         )
-    return _real_positive_lead(np.conj(outer[n_eff::-1]))
-
-
-def _root_completion(lift: np.ndarray, n_eff: int, mean_deficit: float) -> PolynomialSpec:
-    """Q from the roots of the degree-2*n_eff lift of 1 - |P|^2 inside the disk.
-
-    The roots are the companion-matrix eigenvalues (of a real matrix when
-    the lift is real); one of each conjugate-reciprocal pair is kept,
-    reflected inward if it was caught outside, and their monic product is
-    rebuilt by one FFT of its values on the roots of unity.
-    """
-    if not np.any(lift.imag):
-        lift = lift.real
-    try:
-        roots = np.polynomial.polynomial.polyroots(lift)  # companion-matrix eigenvalues
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"root finding failed: {exc}", module=_MOD) from exc
-    inner = roots[np.argsort(np.abs(roots))][:n_eff]
-    inner = np.where(np.abs(inner) > 1.0, 1.0 / np.conj(inner), inner)
-    size = 1 << math.ceil(math.log2(n_eff + 2))
-    points = np.exp(2j * np.pi * np.arange(size) / size)
-    values = np.ones(size, dtype=np.complex128)
-    for r in inner:
-        values *= points - r
-        values /= np.max(np.abs(values))  # |z - r| <= 2: rescale so no product overflows
-    coeffs = np.fft.fft(values)[: n_eff + 1]  # the monic product up to a positive factor
-    return _real_positive_lead(coeffs * (np.sqrt(mean_deficit) / np.linalg.norm(coeffs)))
+    return outer
 
 
 def _real_positive_lead(coeffs: np.ndarray) -> PolynomialSpec:

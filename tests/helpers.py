@@ -43,6 +43,16 @@ def grid_sup(coeffs, count: int = 2**18) -> float:
     return float(np.max(np.abs(np.fft.fft(np.asarray(coeffs, dtype=np.complex128), count))))
 
 
+def near_tie_coefficients() -> np.ndarray:
+    """0.5 (1 + e^{i phi} z^300) (1 + delta z) / (1 + delta), degree 301, sup |P| 0.999999664.
+
+    Its 300 equal peaks are tilted by the slow factor 1 + delta z, so a grid
+    sample under a lower peak can beat every sample under the highest one.
+    """
+    comb = 0.5 * np.r_[1.0, np.zeros(299), np.exp(5.337317174616828j)]
+    return np.convolve(comb, np.r_[1.0, 0.0786491915002826] / 1.0786491915002826)
+
+
 def random_polynomial(
     rng: np.random.Generator, degree: int, sup: float = 0.9
 ) -> PolynomialSpec:

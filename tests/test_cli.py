@@ -14,6 +14,7 @@ from qevt.linalg import PolynomialSpec
 from qevt.regularize import regularize
 
 from helpers import (
+    near_tie_coefficients,
     random_complex,
     random_contraction,
     random_unitary,
@@ -204,6 +205,20 @@ class TestMalformedInputs:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"].startswith(f"cannot read {path}: ")
 
+    def test_integer_past_digit_limit_exits_2(self, tmp_path, capsys):
+        # json.load raises a plain ValueError, not JSONDecodeError, for an
+        # integer literal beyond Python's 4300-digit conversion limit
+        path = tmp_path / "big.json"
+        path.write_text('{"rows": 1, "cols": 1, "data": [[1' + "0" * 5000 + ", 0]]}")
+        assert cli.main(["dilate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["error"].startswith(f"{path} is not valid JSON: ")
+        assert (error["module"], error["exit"]) == ("cli", 2)
+
 
 class TestDilateCommand:
     def test_zero_matrix_swap_structure(self, tmp_path):
@@ -313,16 +328,24 @@ class TestSynthesizeCommand:
         assert error == {"error": f"--grid must be positive, got {grid}", "module": "cli",
                          "exit": 2}
 
-    def test_root_finding_failure_exits_4(self, tmp_path, capsys, monkeypatch):
-        def failing(coefficients):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-        monkeypatch.setattr(np.polynomial.polynomial, "polyroots", failing)
+    def test_completion_failure_exits_4(self, tmp_path, capsys, monkeypatch):
+        # the margin polynomial's damped start needs more than one Newton step
+        monkeypatch.setattr(gqsp, "NEWTON_STEPS", 1)
         poly = write_poly(tmp_path / "p.json", [0.5, 0, 0.5])
         assert cli.main(["synthesize", "--coeffs", poly]) == 4
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["module"] == "gqsp"
+
+    def test_rescales_past_nearly_equal_peaks(self, tmp_path, capsys):
+        # sup 1.0000197: a grid sample 5e-5 low left it unrescaled, and the
+        # completion failed on a deficit that goes negative
+        poly = write_poly(tmp_path / "p.json", 1.00002 * near_tie_coefficients())
+        assert cli.main(["synthesize", "--coeffs", poly]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["degree"] == 301
+        assert payload["scale"] == pytest.approx((1 - 1e-6) / (1.00002 * 0.999999664), rel=1e-9)
+        assert payload["grid_residual"] <= 1e-10
 
 
 class TestTransformCommand:
@@ -379,18 +402,16 @@ class TestTransformCommand:
 
     def test_completion_failure_is_one_json_line(self, tmp_path):
         # a separate process, so that anything else written to stderr (such as
-        # numpy warnings) shows up next to the error line; the child makes the
-        # companion-matrix eigensolver fail on a margin polynomial of degree 170
+        # numpy warnings) shows up next to the error line; the child allows no
+        # Newton step, which the damped start of this margin polynomial of
+        # degree 170 needs
         matrix = write_matrix(tmp_path / "a.json", random_contraction(rng_for(5), 3, 0.8))
         src = str(Path(__file__).resolve().parents[1] / "src")
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         child = (
             "import sys\n"
-            "import numpy as np\n"
-            "from qevt import cli\n"
-            "def failing(coefficients):\n"
-            "    raise np.linalg.LinAlgError('Eigenvalues did not converge')\n"
-            "np.polynomial.polynomial.polyroots = failing\n"
+            "from qevt import cli, gqsp\n"
+            "gqsp.NEWTON_STEPS = 0\n"
             "sys.exit(cli.main(sys.argv[1:]))\n"
         )
         proc = subprocess.run(
@@ -401,7 +422,9 @@ class TestTransformCommand:
         assert proc.returncode == 4
         lines = proc.stderr.splitlines()
         assert len(lines) == 1
-        assert json.loads(lines[0])["module"] == "gqsp"
+        error = json.loads(lines[0])
+        assert error["module"] == "gqsp"
+        assert "did not converge" in error["error"]
 
     def test_requires_exactly_one_polynomial_source(self, tmp_path):
         matrix = write_matrix(tmp_path / "a.json", np.eye(2))

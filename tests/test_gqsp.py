@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qevt import gqsp
 from qevt.analytic import shifted_inverse_plan
@@ -18,6 +20,7 @@ from helpers import (
     circle_grid,
     dense_circuit,
     grid_sup,
+    near_tie_coefficients,
     opnorm,
     random_complex,
     random_polynomial,
@@ -27,6 +30,21 @@ from helpers import (
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 AVERAGING = PolynomialSpec([0.5, 0.0, 0.5])  # (1 + z^2)/2, sup-norm exactly 1
+
+
+def refined_sup(p: PolynomialSpec) -> float:
+    """Dense reference sup of |P|: the 2^20-point FFT grid, each of its 16 largest
+    samples refined by two rounds of 2001 Horner points across the neighbouring steps."""
+    grid = 2**20
+    values = np.abs(np.fft.fft(p.array, grid))  # P at exp(-2 pi i j / grid)
+    angles = -2 * np.pi * np.argsort(values)[-16:] / grid
+    best = float(values.max())
+    for width in (2 * np.pi / grid, 4 * np.pi / grid / 2000):
+        ts = angles[:, None] + width * np.linspace(-1.0, 1.0, 2001)
+        local = np.abs(p(np.exp(1j * ts)))
+        best = max(best, float(local.max()))
+        angles = ts[np.arange(ts.shape[0]), np.argmax(local, axis=1)]
+    return best
 
 
 class TestSupNormOnCircle:
@@ -47,9 +65,18 @@ class TestSupNormOnCircle:
             assert abs(got - grid_sup(coeffs)) <= 1e-7
 
     def test_degree_beyond_16384_points(self):
-        # the grid grows with the degree: 4 (n + 1) points at degree 5000
+        # the grid grows with the degree: 2^16 points at degree 5000, and all
+        # 5000 equal peaks survive the Bernstein test until rounding
         p = PolynomialSpec(np.r_[0.5, np.zeros(4999), 0.25j])
         assert sup_norm_on_circle(p) == pytest.approx(0.75, abs=1e-12)
+
+    def test_nearly_equal_peaks(self):
+        # 300 peaks of |1 + e^{i phi} z^300| under the slow tilt of |1 + delta z|:
+        # the best grid sample sits under a peak 5e-5 below the highest one
+        p = PolynomialSpec(near_tie_coefficients())
+        reference = refined_sup(p)
+        assert reference == pytest.approx(0.999999664, abs=1e-9)
+        assert abs(sup_norm_on_circle(p) - reference) <= 1e-13 * reference
 
 
 class TestOnCircle:
@@ -102,50 +129,69 @@ class TestComplete:
                 roots = np.polynomial.polynomial.polyroots(q.array) if q.degree else []
                 assert np.all(np.abs(roots) < 1.0)
 
-    def test_outer_and_root_paths_agree(self, monkeypatch):
-        # inside the margin the FFT outer function applies; a zero grid cap
-        # sends the same polynomials through the companion roots
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        degree=st.integers(1, 40),
+        zeros=st.integers(0, 3),
+        sup=st.floats(0.5, 1.0 - gqsp.SUP_MARGIN),
+        real=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_completion_properties(self, degree, zeros, sup, real, seed):
+        # low-order zeros shrink the deficit's bandwidth to degree - zeros
+        rng = rng_for(seed)
+        coeffs = rng.normal(size=degree + 1) + (0 if real else 1j * rng.normal(size=degree + 1))
+        coeffs[: min(zeros, degree)] = 0.0
+        p = PolynomialSpec(coeffs)
+        p = p.scaled(sup / sup_norm_on_circle(p))
+        q = complete(p)
+        assert q.degree == degree - min(zeros, degree)
+        pts = circle_grid(max(1024, 4 * (degree + 1)))
+        total = np.abs(p(pts)) ** 2 + np.abs(q(pts)) ** 2
+        assert np.max(np.abs(total - 1.0)) <= 1e-12
+        lead = q.coefficients[-1]
+        assert lead.imag == 0.0 and lead.real > 0.0
+        roots = np.polynomial.polynomial.polyroots(q.array) if q.degree else []
+        assert np.all(np.abs(roots) < 1.0)
+
+    def test_damped_start_matches_undamped(self, monkeypatch):
+        # inside the margin the outer function on the default grid needs no
+        # damping; Newton must reach the same factor from the outer function
+        # of 1 - |P|^2 / 2 on 256 points
         rng = rng_for(16)
         polys = [random_polynomial(rng, degree, sup=0.9) for degree in (3, 17, 40)]
-        outer = [complete(p) for p in polys]
-        monkeypatch.setattr(gqsp, "OUTER_GRID_CAP", 0)
-        for p, q in zip(polys, outer):
+        undamped = [complete(p) for p in polys]
+        original = gqsp._outer_start
+        monkeypatch.setattr(
+            gqsp, "_outer_start", lambda p, n_eff, grid, damping: original(p, n_eff, 256, 0.5)
+        )
+        for p, q in zip(polys, undamped):
             assert np.max(np.abs(complete(p).array - q.array)) <= 1e-11
 
-    def test_real_lift_matches_complex_lift(self, monkeypatch):
-        # |P| fixes Q, so a unimodular factor on P must not change it; the
-        # real polynomial's lift is real and takes the real eigenproblem
-        lifts = []
-        original = np.polynomial.polynomial.polyroots
-
-        def recording(coefficients):
-            lifts.append(coefficients.dtype)
-            return original(coefficients)
-
-        monkeypatch.setattr(np.polynomial.polynomial, "polyroots", recording)
-        margin = 1.0 - gqsp.SUP_MARGIN
-        coeffs = rng_for(17).normal(size=25)
-        p = PolynomialSpec(coeffs * (margin / sup_norm_on_circle(PolynomialSpec(coeffs))))
-        q_real = complete(p)
-        q_complex = complete(p.scaled(np.exp(0.7j)))
-        assert lifts == [np.dtype(np.float64), np.dtype(np.complex128)]
-        assert np.max(np.abs(q_real.array - q_complex.array)) <= 1e-11
-
-    def test_outer_tail_check(self):
-        # a grid far too coarse for a margin polynomial aliases the log's
-        # Fourier series into the coefficients beyond the degree
+    def test_newton_nonconvergence_is_numerical_error(self, monkeypatch):
+        # a margin polynomial needs a damped start and several Newton steps
         p = random_polynomial(rng_for(18), 8, sup=1.0 - gqsp.SUP_MARGIN)
-        with pytest.raises(NumericalError, match="beyond degree 8") as info:
-            gqsp._outer_completion(p, 8, 64)
+        monkeypatch.setattr(gqsp, "NEWTON_STEPS", 1)
+        with pytest.raises(NumericalError, match="did not converge.*after 1 Newton steps") as info:
+            complete(p)
         assert info.value.module == "gqsp"
+
+    def test_nan_start_is_numerical_error(self, monkeypatch):
+        # NaN compares false with every tolerance: it must fail, not pass
+        p = random_polynomial(rng_for(18), 8, sup=0.9)
+        monkeypatch.setattr(
+            gqsp, "_outer_start", lambda p, n_eff, *args: np.full(n_eff + 1, np.nan + 0j)
+        )
+        with pytest.raises(NumericalError, match="coefficient residual nan"):
+            complete(p)
 
     def test_residual_checked_between_4096_points(self, monkeypatch):
         # |P|^2 + |Q|^2 - 1 = 0.18 sin(2048 t) for this wrong Q: zero on the
-        # 4096th roots of unity, 0.18 between them
+        # 4096th roots of unity, 0.18 between them; Newton is bypassed
         p = PolynomialSpec(np.r_[0.3, np.zeros(2047), 0.3j])
-        wrong = PolynomialSpec([np.sqrt(0.82)])
-        monkeypatch.setattr(gqsp, "_outer_completion", lambda *args: wrong)
-        monkeypatch.setattr(gqsp, "_root_completion", lambda *args: wrong)
+        wrong = np.r_[np.sqrt(0.82), np.zeros(2048)]  # Q = sqrt(0.82) z^2048
+        monkeypatch.setattr(gqsp, "_outer_start", lambda *args: wrong)
+        monkeypatch.setattr(gqsp, "_wilson_newton", lambda outer, target: outer)
         with pytest.raises(NumericalError, match="residual 1.800e-01"):
             complete(p)
 
@@ -213,19 +259,19 @@ class TestSynthesize:
             assert (seq.scale < 1.0) == rescaled
             assert len(calls) == 1
 
-    def test_root_finding_failure_is_numerical_error(self, monkeypatch):
-        def failing(coefficients):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    def test_newton_solve_failure_is_numerical_error(self, monkeypatch):
+        def failing(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
 
-        monkeypatch.setattr(np.polynomial.polynomial, "polyroots", failing)
-        with pytest.raises(NumericalError, match="root finding failed") as info:
+        monkeypatch.setattr(np.linalg, "solve", failing)
+        with pytest.raises(NumericalError, match="Newton step failed") as info:
             synthesize(AVERAGING)
         assert info.value.module == "gqsp"
 
     def test_draws_that_failed_the_residual_check(self):
-        # inputs on which Q rebuilt by polyfromroots misses the 1e-8 residual
-        # check: random draws at sup 0.9 (the outer path) and 1/(1.05 - z) at
-        # eps 1e-6 (degree 345, rescaled to the margin: the root path)
+        # inputs on which Q rebuilt by polyfromroots missed the 1e-8 residual
+        # check: random draws at sup 0.9 and 1/(1.05 - z) at eps 1e-6 (degree
+        # 345, rescaled to the margin: a damped start)
         pts = circle_grid(4096)
         polys = [
             random_polynomial(rng_for(seed), degree, sup=0.9)
