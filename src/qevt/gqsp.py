@@ -11,13 +11,15 @@ Synthesis runs in two stages: complete P to a pair (P, Q) with
 strip one rotation per degree from the pair. The factor starts as the
 outer function (FFTs of log(1 - |P|^2) on a grid sized from the degree,
 damped near the margin so the grid resolves it) and is finished by
-Wilson's Newton iteration on its coefficients. P and Q on roots of unity,
-on grids that grow with the degree, are one FFT each; the sup-norm zooms
-from a degree-sized grid. Replacing diag(1, z) with the controlled unitary
-diag(I, U) lifts the scalar identity to a block-encoding of P(U) for
-unitary U. That circuit is applied, never formed: the d columns entering
-with the processing qubit at zero are carried through it, and only the
-block they leave in the processing-0 half is returned.
+Wilson's Newton iteration on its coefficients: dense solves at low degree,
+GMRES on FFT correlations above (inexact Newton, no matrix formed). Layer
+stripping works on Python scalars and two vector updates per layer. P and
+Q on roots of unity, on grids that grow with the degree, are one FFT each;
+the sup-norm zooms from a degree-sized grid. Replacing diag(1, z) with the
+controlled unitary diag(I, U) lifts the scalar identity to a block-encoding
+of P(U) for unitary U. That circuit is applied, never formed: the d columns
+entering with the processing qubit at zero are carried through it, and
+only the block they leave in the processing-0 half is returned.
 """
 
 from __future__ import annotations
@@ -37,6 +39,11 @@ SUP_MARGIN = 1e-6  # polynomials must satisfy sup |P| <= 1 - SUP_MARGIN for comp
 NEWTON_TOL = 4e-16  # completion converged: every deficit coefficient matched within this times c_0
 NEWTON_STEPS = 30  # Newton steps allowed for the completion before it fails
 TAYLOR_TERMS = 20  # the sup-norm zoom's expansions: the dropped terms are below 1e-19 ||p||_1
+# completions of degree m >= KRYLOV_MIN_ORDER take matrix-free Newton steps: on two
+# cores the dense and Krylov steps cost the same near m = 85, dense growing as m^3
+KRYLOV_MIN_ORDER = 96
+KRYLOV_FORCING = 1e-4  # a Krylov step stops at this relative linearized residual
+KRYLOV_ITERATIONS = 100  # GMRES iterations allowed per Newton step
 STRIP_TOL = 1e-13  # both leading coefficients below this aborts layer stripping
 
 
@@ -156,8 +163,10 @@ def complete(p) -> PolynomialSpec:
       the minimum of the deficit below (4 (m + 1) / N)^2, where N stops
       resolving it; then rho^2 = (1 - (4 (m + 1) / N)^2) / sup|P|^2;
     - Wilson's Newton iteration on sum_j o_{j+k} conj(o_j) = c_k, the
-      Laurent coefficients of 1 - |P|^2 for k = 0..m, with Im o_0 = 0 (one
-      dense real 2 (m + 1) solve per step). It keeps the start's roots on
+      Laurent coefficients of 1 - |P|^2 for k = 0..m, with Im o_0 = 0: each
+      step solves a real system in 2m + 1 unknowns, densely (LAPACK) for
+      m < KRYLOV_MIN_ORDER, else by GMRES to relative residual
+      KRYLOV_FORCING, each product two FFTs. It keeps the start's roots on
       their side of the circle, and it must bring every c_k within
       4e-16 c_0 in at most NEWTON_STEPS steps, else ``NumericalError``.
 
@@ -229,28 +238,56 @@ def _outer_start(p: PolynomialSpec, n_eff: int, grid: int, damping: float) -> np
 def _wilson_newton(outer: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Newton's method for sum_j o_{j+k} conj(o_j) = target_k, k = 0..m, from ``outer``.
 
-    Writing the step as x + iy, the Jacobian is [[RT + RH, IT + IH], [IH - IT,
-    RT - RH]] with T_{ki} = o_{i-k} (Toeplitz) and H_{kj} = o_{k+j} (Hankel),
-    zero outside 0..m, R/I their real and imaginary parts. The imaginary row
-    of k = 0 vanishes identically; the gauge y_0 = 0 (Im o_0 stays 0) takes
-    its place. The blocks are written in place from sliding windows over the
-    zero-padded parts of o.
+    The step delta solves the linearization corr(delta, o)_k + corr(o, delta)_k
+    = target_k - sum_j o_{j+k} conj(o_j), k = 0..m, corr(a, b)_k = sum_j a_{j+k}
+    conj(b_j), with the gauge Im delta_0 = 0 (Im o_0 stays 0): a real system in
+    2m + 1 unknowns. Below KRYLOV_MIN_ORDER it is solved densely, in O(m^3) time
+    and O(m^2) memory; from there on by GMRES on FFT products (inexact Newton:
+    Eisenstat & Walker 1996), in O(m log m) time per product and no matrix.
     """
     m = outer.size - 1
-    size = m + 1
     tol = NEWTON_TOL * float(target[0].real)
-    jacobian = np.empty((2 * size, 2 * size))
-    padded = np.zeros((2, 3 * m + 1))  # real and imaginary parts of o between m zeros each side
-    windows = np.lib.stride_tricks.sliding_window_view(padded, size, axis=1)
-    (rt, it), (rh, ih) = windows[:, m::-1], windows[:, m:]  # [k, i]: o_{i-k}, o_{k+i}
+    newton_step = _dense_steps(m) if m < KRYLOV_MIN_ORDER else _krylov_step
 
     def mismatch(o: np.ndarray) -> np.ndarray:
         return target - np.convolve(o, np.conj(o[::-1]))[m:]
 
     error = mismatch(outer)
     residual = float(np.max(np.abs(error)))
-    steps = 0
+    steps, iterations = 0, None
     while residual > tol and steps < NEWTON_STEPS:  # False on NaN: stop and fail below
+        step, iterations = newton_step(outer, error)
+        outer = outer + step
+        error = mismatch(outer)
+        residual = float(np.max(np.abs(error)))
+        steps += 1
+    if not residual <= tol:
+        krylov = "" if iterations is None else f"; {iterations} Krylov iterations in the last"
+        raise NumericalError(
+            f"completion did not converge: coefficient residual {residual:.3e} "
+            f"after {steps} Newton steps (tolerance {tol:.3e}{krylov})",
+            module=_MOD,
+        )
+    return outer
+
+
+def _dense_steps(m: int):
+    """Newton steps for degree m from one dense real 2(m + 1) LAPACK solve each.
+
+    Writing the step as x + iy, the Jacobian is [[RT + RH, IT + IH], [IH - IT,
+    RT - RH]] with T_{ki} = o_{i-k} (Toeplitz) and H_{kj} = o_{k+j} (Hankel),
+    zero outside 0..m, R/I their real and imaginary parts. The imaginary row
+    of k = 0 vanishes identically; the gauge y_0 = 0 (Im o_0 stays 0) takes
+    its place. The blocks are written in place from sliding windows over the
+    zero-padded parts of o, set up once for all steps.
+    """
+    size = m + 1
+    jacobian = np.empty((2 * size, 2 * size))
+    padded = np.zeros((2, 3 * m + 1))  # real and imaginary parts of o between m zeros each side
+    windows = np.lib.stride_tricks.sliding_window_view(padded, size, axis=1)
+    (rt, it), (rh, ih) = windows[:, m::-1], windows[:, m:]  # [k, i]: o_{i-k}, o_{k+i}
+
+    def step(outer: np.ndarray, error: np.ndarray) -> tuple[np.ndarray, None]:
         padded[0, m : 2 * m + 1] = outer.real
         padded[1, m : 2 * m + 1] = outer.imag
         np.add(rt, rh, out=jacobian[:size, :size])
@@ -262,20 +299,92 @@ def _wilson_newton(outer: np.ndarray, target: np.ndarray) -> np.ndarray:
         rhs = np.concatenate([error.real, error.imag])
         rhs[size] = 0.0
         try:
-            step = np.linalg.solve(jacobian, rhs)
+            delta = np.linalg.solve(jacobian, rhs)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"completion Newton step failed: {exc}", module=_MOD) from exc
-        outer = outer + (step[:size] + 1j * step[size:])
-        error = mismatch(outer)
-        residual = float(np.max(np.abs(error)))
-        steps += 1
-    if not residual <= tol:
-        raise NumericalError(
-            f"completion did not converge: coefficient residual {residual:.3e} "
-            f"after {steps} Newton steps (tolerance {tol:.3e})",
-            module=_MOD,
-        )
-    return outer
+        return delta[:size] + 1j * delta[size:], None
+
+    return step
+
+
+def _jacobian_product(outer: np.ndarray):
+    """u -> J u for the real Newton system at ``outer``, by FFTs; no matrix is formed.
+
+    u holds Re delta_0..m and Im delta_1..m, J u the real parts of
+    (J delta)_k = corr(delta, o)_k + corr(o, delta)_k for k = 0..m and their
+    imaginary parts for k = 1..m (the k = 0 one is real). With F the length-L
+    DFT, L >= 2m + 1 so that no correlation wraps, J delta is F^-1(2 Re(F delta
+    conj(F o))) on 0..m, the conjugate of one rfft divided by L: per product,
+    one FFT of delta and one rfft; F o is taken once.
+    """
+    m = outer.size - 1
+    size = m + 1
+    length = 1 << (2 * m).bit_length()
+    spectrum = np.conj(np.fft.fft(outer, length)) * (2.0 / length)
+    delta = np.zeros(size, dtype=np.complex128)
+
+    def product(u: np.ndarray) -> np.ndarray:
+        delta.real = u[:size]
+        delta.imag[1:] = u[size:]
+        folded = np.fft.rfft((np.fft.fft(delta, length) * spectrum).real)
+        return np.concatenate([folded.real[:size], -folded.imag[1:size]])
+
+    return product
+
+
+def _krylov_step(outer: np.ndarray, error: np.ndarray) -> tuple[np.ndarray, int]:
+    """The Newton step from unrestarted GMRES on ``_jacobian_product``, and its iteration count.
+
+    Arnoldi orthogonalizes twice (CGS2), Givens rotations keep the
+    least-squares residual current, and the iteration stops once that is
+    KRYLOV_FORCING times the right-hand side, or after KRYLOV_ITERATIONS (the
+    step so far is taken; Newton's own test decides). A NaN, an overflow or a
+    breakdown (a zero diagonal in the triangular factor: the Krylov space is
+    invariant yet the step not found) is a ``NumericalError``.
+    """
+    m = outer.size - 1
+    product = _jacobian_product(outer)
+    rhs = np.concatenate([error.real, error.imag[1:]])
+    norm = float(np.linalg.norm(rhs))
+    limit = min(KRYLOV_ITERATIONS, 2 * m + 1)
+    basis = np.empty((limit + 1, 2 * m + 1))
+    basis[0] = rhs / norm
+    triangle = np.zeros((limit, limit))
+    rotations: list[tuple[float, float]] = []
+    projected = [norm]  # the least-squares right-hand side, rotated with the columns
+    k = 0
+    while abs(projected[k]) > KRYLOV_FORCING * norm and k < limit:
+        w = product(basis[k])
+        column = basis[: k + 1] @ w
+        w -= column @ basis[: k + 1]
+        again = basis[: k + 1] @ w
+        w -= again @ basis[: k + 1]
+        column += again
+        beta = float(np.linalg.norm(w))
+        rotated = column.tolist()
+        for i, (c, s) in enumerate(rotations):
+            top, below = rotated[i], rotated[i + 1]
+            rotated[i], rotated[i + 1] = c * top + s * below, c * below - s * top
+        diagonal = math.hypot(rotated[k], beta)
+        if not 0.0 < diagonal < math.inf:  # also False on NaN
+            raise NumericalError(
+                f"completion Krylov step broke down at iteration {k + 1}: "
+                f"triangular factor diagonal {diagonal:.3e}",
+                module=_MOD,
+            )
+        c, s = rotated[k] / diagonal, beta / diagonal
+        rotations.append((c, s))
+        rotated[k] = diagonal
+        triangle[: k + 1, k] = rotated
+        projected.append(-s * projected[k])
+        projected[k] *= c
+        if beta > 0.0:
+            basis[k + 1] = w / beta
+        k += 1
+    u = np.linalg.solve(triangle[:k, :k], projected[:k]) @ basis[:k]
+    step = u[: m + 1] + 0j
+    step.imag[1:] = u[m + 1 :]
+    return step, k
 
 
 def _real_positive_lead(coeffs: np.ndarray) -> PolynomialSpec:
@@ -284,11 +393,6 @@ def _real_positive_lead(coeffs: np.ndarray) -> PolynomialSpec:
     coeffs = coeffs * (np.conj(lead) / abs(lead))
     coeffs[-1] = abs(lead)
     return PolynomialSpec(coeffs)
-
-
-def _unit_column(top: complex, bottom: complex) -> np.ndarray:
-    norm = np.sqrt(abs(top) ** 2 + abs(bottom) ** 2)
-    return np.array([top / norm, bottom / norm], dtype=np.complex128)
 
 
 def synthesize(p) -> GqspSequence:
@@ -313,40 +417,45 @@ def synthesize(p) -> GqspSequence:
     qc = np.zeros(n + 1, dtype=np.complex128)
     qc[: q.degree + 1] = q.array
 
-    rotations = []
+    # per-layer scalars are Python complex numbers: numpy's overhead on 2-vectors
+    # would outweigh the two length-m updates below until m is in the thousands
+    rotations = np.empty((n + 1, 2, 2), dtype=np.complex128)
     for layer in range(n):
         m = n - layer
-        top = np.sqrt(abs(pc[m]) ** 2 + abs(qc[m]) ** 2)
+        lead_p, lead_q = pc.item(m), qc.item(m)
+        top = math.hypot(lead_p.real, lead_p.imag, lead_q.real, lead_q.imag)
         if top < STRIP_TOL:
             raise NumericalError(
                 f"degenerate layer {layer}: both degree-{m} coefficients vanish",
                 module=_MOD,
             )
-        col0 = _unit_column(np.conj(qc[m]), -np.conj(pc[m]))
-        bottom = np.sqrt(abs(pc[0]) ** 2 + abs(qc[0]) ** 2)
+        # the first column annihilates the leading pair, the second the constant one
+        u0, u1 = lead_q.conjugate() / top, -lead_p.conjugate() / top
+        const_p, const_q = pc.item(0), qc.item(0)
+        bottom = math.hypot(const_p.real, const_p.imag, const_q.real, const_q.imag)
         if bottom >= STRIP_TOL:
-            col1 = _unit_column(np.conj(qc[0]), -np.conj(pc[0]))
-            col1 = col1 - (col0.conj() @ col1) * col0  # analytically orthogonal already
-            col1 = col1 / np.linalg.norm(col1)
+            v0, v1 = const_q.conjugate() / bottom, -const_p.conjugate() / bottom
+            overlap = u0.conjugate() * v0 + u1.conjugate() * v1  # analytically zero already
+            v0, v1 = v0 - overlap * u0, v1 - overlap * u1
+            norm = math.hypot(v0.real, v0.imag, v1.real, v1.imag)
+            v0, v1 = v0 / norm, v1 / norm
         else:
-            col1 = np.array([-np.conj(col0[1]), np.conj(col0[0])], dtype=np.complex128)
-        rot = np.column_stack([col0, col1])
-        rotations.append(rot)
+            v0, v1 = -u1.conjugate(), u0.conjugate()
+        rotations[layer] = ((u0, v0), (u1, v1))
         # conjugate the pair by the rotation: drop one degree on top, one constant below
-        new_p = np.conj(rot[0, 0]) * pc + np.conj(rot[1, 0]) * qc
-        new_q = np.conj(rot[0, 1]) * pc + np.conj(rot[1, 1]) * qc
-        pc = new_p[:m]
-        qc = new_q[1 : m + 1]
+        pc, qc = (
+            u0.conjugate() * pc[:m] + u1.conjugate() * qc[:m],
+            v0.conjugate() * pc[1:] + v1.conjugate() * qc[1:],
+        )
 
-    closing = np.sqrt(abs(pc[0]) ** 2 + abs(qc[0]) ** 2)
+    const_p, const_q = pc.item(0), qc.item(0)
+    closing = math.hypot(const_p.real, const_p.imag, const_q.real, const_q.imag)
     if abs(closing - 1.0) > 1e-6:
         raise NumericalError(
             f"layer stripping lost unitarity: final column norm {closing:.9f}", module=_MOD
         )
-    last = np.array(
-        [[pc[0], -np.conj(qc[0])], [qc[0], np.conj(pc[0])]], dtype=np.complex128
-    )
-    rotations.append(last / closing)
+    rotations[n] = ((const_p, -const_q.conjugate()), (const_q, const_p.conjugate()))
+    rotations[n] /= closing
     return GqspSequence(rotations=tuple(rotations), scale=scale)
 
 

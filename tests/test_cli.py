@@ -400,6 +400,18 @@ class TestTransformCommand:
         reference = np.linalg.inv(1.1 * np.eye(3) - a)
         assert np.linalg.norm(result - reference, 2) <= 2e-6
 
+    def test_krylov_breakdown_exits_4(self, tmp_path, capsys, monkeypatch):
+        # degree 170 takes matrix-free Newton steps; a zero Jacobian product
+        # breaks the first Krylov step down
+        monkeypatch.setattr(gqsp, "_jacobian_product", lambda outer: np.zeros_like)
+        matrix = write_matrix(tmp_path / "a.json", random_contraction(rng_for(5), 3, 0.8))
+        assert cli.main(["transform", matrix, "--inverse", "1.1", "--eps", "1e-6"]) == 4
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["module"] == "gqsp"
+        assert "Krylov step broke down" in error["error"]
+
     def test_completion_failure_is_one_json_line(self, tmp_path):
         # a separate process, so that anything else written to stderr (such as
         # numpy warnings) shows up next to the error line; the child allows no

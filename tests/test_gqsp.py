@@ -25,6 +25,7 @@ from helpers import (
     random_complex,
     random_polynomial,
     random_unitary,
+    reference_strip,
     rng_for,
 )
 
@@ -176,6 +177,53 @@ class TestComplete:
             complete(p)
         assert info.value.module == "gqsp"
 
+    @pytest.mark.parametrize("degree", [8, 40, 97])
+    def test_krylov_and_dense_steps_agree(self, monkeypatch, degree):
+        # margin polynomials: a damped start and several Newton steps on each
+        # path; the crossover is moved to force one, the other step is disabled
+        margin = 1.0 - gqsp.SUP_MARGIN
+        p = random_polynomial(rng_for(20 + degree), degree)
+        p = p.scaled(margin / sup_norm_on_circle(p))
+
+        def disabled(*args):
+            raise AssertionError("the other Newton step ran")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(gqsp, "KRYLOV_MIN_ORDER", degree + 1)
+            patch.setattr(gqsp, "_krylov_step", disabled)
+            dense = complete(p)
+        with monkeypatch.context() as patch:
+            patch.setattr(gqsp, "KRYLOV_MIN_ORDER", 0)
+            patch.setattr(gqsp, "_dense_steps", disabled)
+            krylov = complete(p)
+        assert dense.degree == krylov.degree == degree
+        assert np.max(np.abs(dense.array - krylov.array)) <= 1e-11
+
+    @pytest.mark.parametrize(
+        "product, reading",
+        [(np.zeros_like, r"diagonal 0\.000e\+00"), (lambda u: np.full_like(u, np.nan), "nan")],
+        ids=["breakdown", "nan"],
+    )
+    def test_krylov_failure_is_numerical_error(self, monkeypatch, product, reading):
+        # degree 170 is above the crossover: a zero product leaves the Krylov
+        # space invariant without a step, a NaN one must not pass as converged
+        p = shifted_inverse_plan(1.1, 1e-6).coefficients
+        monkeypatch.setattr(gqsp, "_jacobian_product", lambda outer: product)
+        with pytest.raises(NumericalError, match=f"Krylov step broke down.*{reading}") as info:
+            synthesize(p)
+        assert info.value.module == "gqsp"
+
+    def test_krylov_nonconvergence_names_iterations(self, monkeypatch):
+        p = shifted_inverse_plan(1.1, 1e-6).coefficients
+        assert p.degree >= gqsp.KRYLOV_MIN_ORDER
+        monkeypatch.setattr(gqsp, "NEWTON_STEPS", 2)
+        with pytest.raises(
+            NumericalError,
+            match=r"did not converge: coefficient residual .* after 2 Newton steps "
+            r"\(tolerance .*; \d+ Krylov iterations in the last\)",
+        ):
+            synthesize(p)
+
     def test_nan_start_is_numerical_error(self, monkeypatch):
         # NaN compares false with every tolerance: it must fail, not pass
         p = random_polynomial(rng_for(18), 8, sup=0.9)
@@ -260,6 +308,10 @@ class TestSynthesize:
             assert len(calls) == 1
 
     def test_newton_solve_failure_is_numerical_error(self, monkeypatch):
+        # the dense LAPACK step: the rescaled averaging polynomial completes at
+        # degree 2, below the Krylov crossover
+        assert AVERAGING.degree < gqsp.KRYLOV_MIN_ORDER
+
         def failing(a, b):
             raise np.linalg.LinAlgError("Singular matrix")
 
@@ -283,6 +335,26 @@ class TestSynthesize:
             seq = synthesize(p)
             residual = np.max(np.abs(evaluate_scalar(seq, pts) - seq.scale * p(pts)))
             assert residual <= 1e-10
+
+    def test_degree_2315_at_the_margin(self):
+        # 1/(1.01 - z) at eps 1e-8, rescaled to the margin: matrix-free Newton
+        # steps; a dense step here is a 4632 x 4632 solve
+        p = shifted_inverse_plan(1.01, 1e-8).coefficients
+        assert p.degree == 2315
+        seq = synthesize(p)
+        pts = circle_grid(4 * (p.degree + 1))
+        assert np.max(np.abs(evaluate_scalar(seq, pts) - seq.scale * p(pts))) <= 1e-10
+
+    def test_stripping_matches_vector_reference(self):
+        # stripping amplifies rounding about 2x per layer, so two arithmetics
+        # agree tightly only over the first dozen layers
+        rng = rng_for(21)
+        for degree in (1, 2, 5, 12):
+            p = random_polynomial(rng, degree, sup=0.9)
+            q = complete(p).array
+            assert q.size == degree + 1  # the constant term of p is nonzero
+            got = np.array(synthesize(p).rotations)
+            assert np.max(np.abs(got - reference_strip(p.array, q))) <= 1e-12
 
     def test_non_unitary_rotation_named(self):
         rotations = (X, X, 1.01 * X, X)
