@@ -30,7 +30,6 @@ from .errors import NormBoundError, NumericalError, QevtError, ValidationError
 from .evt import (
     TransformReport,
     assemble_circuit,
-    check_perturbation_bound,
     counter_order_for_degree,
     perturbation_bound,
     transform,
@@ -72,7 +71,6 @@ __all__ = [
     "as_polynomial",
     "assemble_circuit",
     "assemble_from_jordan",
-    "check_perturbation_bound",
     "complete",
     "counter_order_for_degree",
     "dilate",

@@ -81,8 +81,8 @@ def shifted_inverse_plan(c: complex, eps: float) -> TruncationPlan:
     return TruncationPlan(order=n, coefficients=plan, certified_error=tail)
 
 
-def exp_plan(eps: float, scale: float = DEFAULT_EXP_SCALE) -> TruncationPlan:
-    """Taylor truncation of scale * e^z with factorial tail bound 2/(N+1)!.
+def exp_plan(eps: float) -> TruncationPlan:
+    """Taylor truncation of DEFAULT_EXP_SCALE * e^z with factorial tail bound 2/(N+1)!.
 
     The order is the smallest N with 2/(N+1)! <= eps; the ratio between
     consecutive tail terms is at most 1/2, so the geometric majorant is
@@ -90,16 +90,15 @@ def exp_plan(eps: float, scale: float = DEFAULT_EXP_SCALE) -> TruncationPlan:
     """
     if eps <= 0:
         raise ValidationError("eps must be positive", module=_MOD)
-    if not 0 < scale <= 1:
-        raise ValidationError("scale must lie in (0, 1]", module=_MOD)
     n = 0
     while 2.0 / math.factorial(n + 1) > eps:
         n += 1
-    coeffs = [scale / math.factorial(k) for k in range(n + 1)]
-    tail = scale * 2.0 / math.factorial(n + 1)
+    coeffs = [DEFAULT_EXP_SCALE / math.factorial(k) for k in range(n + 1)]
+    tail = DEFAULT_EXP_SCALE * 2.0 / math.factorial(n + 1)
     pts = disk_samples(1000)
     plan = PolynomialSpec(coeffs)
-    _check_on_disk(plan(pts), scale * np.exp(pts), max(tail, eps), "exponential truncation")
+    target = DEFAULT_EXP_SCALE * np.exp(pts)
+    _check_on_disk(plan(pts), target, max(tail, eps), "exponential truncation")
     return TruncationPlan(order=n, coefficients=plan, certified_error=tail)
 
 

@@ -30,6 +30,8 @@ EXIT_INPUT = 2
 EXIT_NORM = 3
 EXIT_NUMERIC = 4
 
+SYNTHESIZE_GRID = 4096  # `synthesize` reports its residual on these roots of unity
+
 
 # ---------------------------------------------------------------------------
 # deterministic JSON
@@ -196,11 +198,9 @@ def _cmd_regularize(args) -> int:
 
 
 def _cmd_synthesize(args) -> int:
-    if args.grid < 1:
-        raise ValidationError(f"--grid must be positive, got {args.grid}", module=_MOD)
     poly = load_polynomial(args.coeffs)
     seq = gqsp.synthesize(poly)
-    residual = gqsp._grid_residual(seq, poly, args.grid)
+    residual = gqsp._grid_residual(seq, poly, SYNTHESIZE_GRID)
     payload = {
         "degree": seq.degree,
         "scale": seq.scale,
@@ -340,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synthesize", help="compute processing rotations for a polynomial")
     p.add_argument("--coeffs", required=True, help="polynomial JSON file")
-    p.add_argument("--grid", type=int, default=4096, help="circle grid resolution")
     common(p)
     p.set_defaults(func=_cmd_synthesize)
 

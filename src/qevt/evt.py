@@ -25,7 +25,7 @@ import numpy as np
 
 from .encoding import dilate, top_left_block
 from .errors import ValidationError
-from .gqsp import GqspSequence, _grid_residual, _signal_block, sup_norm_on_circle, synthesize
+from .gqsp import GqspSequence, _grid_residual, _signal_block, synthesize
 from .linalg import PolynomialSpec, as_polynomial, ensure_square, horner_eval, operator_norm
 from .regularize import RegularizedEncoding, regularize
 
@@ -94,30 +94,6 @@ def perturbation_bound(degree: int, eps: float) -> float:
         raise ValidationError("eps must be nonnegative", module=_MOD)
     n = degree
     return float(np.sqrt(n * (n + 1) * (2 * n + 1) / 6.0)) * eps
-
-
-def check_perturbation_bound(a_mat, e_mat, p) -> bool:
-    """True iff ||P(A+E) - P(A)|| respects perturbation_bound(deg P, ||E||).
-
-    Requires ||A|| <= 1, ||A+E|| <= 1 and sup |P| <= 1 on the circle.
-    """
-    a = ensure_square(a_mat, name="base matrix")
-    e = ensure_square(e_mat, name="perturbation")
-    if a.shape != e.shape:
-        raise ValidationError(
-            f"perturbation shape {e.shape} does not match matrix shape {a.shape}",
-            module=_MOD,
-        )
-    p = as_polynomial(p)
-    slack = 1e-9
-    if operator_norm(a) > 1 + slack:
-        raise ValidationError("base matrix must be a contraction", module=_MOD)
-    if operator_norm(a + e) > 1 + slack:
-        raise ValidationError("perturbed matrix must be a contraction", module=_MOD)
-    if sup_norm_on_circle(p) > 1 + slack:
-        raise ValidationError("polynomial must be bounded by 1 on the circle", module=_MOD)
-    gap = operator_norm(horner_eval(p, a + e) - horner_eval(p, a))
-    return gap <= perturbation_bound(p.degree, operator_norm(e)) + 1e-10
 
 
 def transform(a_mat, p) -> TransformReport:

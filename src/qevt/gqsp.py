@@ -11,8 +11,9 @@ Synthesis runs in two stages: complete P to a pair (P, Q) with
 strip one rotation per degree from the pair. The factor starts as the
 outer function (FFTs of log(1 - |P|^2) on a grid sized from the degree,
 damped near the margin so the grid resolves it) and is finished by
-Wilson's Newton iteration on its coefficients: dense solves at low degree,
-GMRES on FFT correlations above (inexact Newton, no matrix formed). Layer
+Wilson's Newton iteration on its coefficients, the same real system for
+every degree (a monomial's constant factor included): dense solves at low
+degree, GMRES on FFT correlations above (inexact Newton, no matrix). Layer
 stripping works on Python scalars and two vector updates per layer. P and
 Q on roots of unity, on grids that grow with the degree, are one FFT each;
 the sup-norm zooms from a degree-sized grid. Replacing diag(1, z) with the
@@ -60,7 +61,11 @@ class GqspSequence:
         if not 0 < self.scale <= 1.0 + 1e-12:
             raise ValidationError(f"invalid subnormalization scale {self.scale}", module=_MOD)
         for k, rot in enumerate(self.rotations):
-            if np.shape(rot) != (2, 2):
+            try:
+                square = np.shape(rot) == (2, 2)
+            except ValueError:  # a ragged nesting of lists
+                square = False
+            if not square:
                 raise ValidationError(f"rotation {k} is not 2x2", module=_MOD)
         stack = np.array(self.rotations, dtype=np.complex128)  # (n + 1, 2, 2), a copy
         if not np.all(np.isfinite(stack)):
@@ -136,14 +141,9 @@ def sup_norm_on_circle(p) -> float:
     return math.sqrt(best)
 
 
-def _circle_deficit_coefficients(p: PolynomialSpec) -> np.ndarray:
-    """Laurent coefficients c_{-n}..c_n of 1 - |P|^2 on the circle."""
-    coeffs = p.array
-    n = p.degree
-    auto = np.convolve(coeffs, np.conj(coeffs[::-1]))  # index n + m holds sum_l p_{l+m} conj(p_l)
-    c = -auto
-    c[n] += 1.0
-    return c
+def _autocorrelation(a: np.ndarray) -> np.ndarray:
+    """sum_j a_{j+k} conj(a_j) for k = 0..len(a) - 1; the k < 0 half is its conjugate."""
+    return np.convolve(a, np.conj(a[::-1]))[a.size - 1 :]
 
 
 def complete(p) -> PolynomialSpec:
@@ -164,10 +164,10 @@ def complete(p) -> PolynomialSpec:
       resolving it; then rho^2 = (1 - (4 (m + 1) / N)^2) / sup|P|^2;
     - Wilson's Newton iteration on sum_j o_{j+k} conj(o_j) = c_k, the
       Laurent coefficients of 1 - |P|^2 for k = 0..m, with Im o_0 = 0: each
-      step solves a real system in 2m + 1 unknowns, densely (LAPACK) for
-      m < KRYLOV_MIN_ORDER, else by GMRES to relative residual
-      KRYLOV_FORCING, each product two FFTs. It keeps the start's roots on
-      their side of the circle, and it must bring every c_k within
+      step solves one real system in 2m + 1 unknowns (m = 0 for a monomial),
+      densely (LAPACK) for m < KRYLOV_MIN_ORDER, else by GMRES to relative
+      residual KRYLOV_FORCING, each product two FFTs. It keeps the start's
+      roots on their side of the circle, and it must bring every c_k within
       4e-16 c_0 in at most NEWTON_STEPS steps, else ``NumericalError``.
 
     The result must satisfy |P|^2 + |Q|^2 = 1 within 1e-8 on max(4096,
@@ -181,7 +181,8 @@ def complete(p) -> PolynomialSpec:
 
 def _complete(p: PolynomialSpec, sup: float) -> PolynomialSpec:
     """``complete`` for a polynomial whose circle sup-norm is already known."""
-    c = _circle_deficit_coefficients(p)
+    c = -_autocorrelation(p.array)  # the Laurent coefficients c_0..c_n of 1 - |P|^2
+    c[0] += 1.0
     n = p.degree
     if float(np.max(np.abs(c))) <= 1e-14:
         # |P| == 1 identically on the circle (a unimodular monomial): Q = 0 exactly
@@ -198,14 +199,13 @@ def _complete(p: PolynomialSpec, sup: float) -> PolynomialSpec:
     # the exact bandwidth: c_m = 0 for m > n - ord0, and c_{n - ord0} = -p_n conj(p_ord0),
     # with ord0 the index of the lowest nonzero coefficient
     n_eff = n - int(np.argmax(p.array != 0))
-    if n_eff == 0:
-        return PolynomialSpec([np.sqrt(c[n].real)])
     # log(1 - |P|^2) varies on the scale sqrt(1 - sup^2) / (n_eff + 1) in angle;
     # past 64 (n_eff + 1) points the start is damped instead of the grid grown
     rule = 16 * (n_eff + 1) / math.sqrt(1.0 - sup * sup)
     grid = max(4096, 1 << math.ceil(math.log2(min(rule, 64 * (n_eff + 1)))))
-    damping = min(1.0, (1.0 - (4 * (n_eff + 1) / grid) ** 2) / (sup * sup))
-    outer = _wilson_newton(_outer_start(p, n_eff, grid, damping), c[n : n + n_eff + 1])
+    limit = 1.0 - (4 * (n_eff + 1) / grid) ** 2
+    damping = limit / (sup * sup) if sup * sup > limit else 1.0
+    outer = _wilson_newton(_outer_start(p, n_eff, grid, damping), c[: n_eff + 1])
     q = _real_positive_lead(np.conj(outer[::-1]))
 
     # |P|^2 + |Q|^2 has bandwidth 2n: 4 (n + 1) points sample it at twice that
@@ -241,24 +241,22 @@ def _wilson_newton(outer: np.ndarray, target: np.ndarray) -> np.ndarray:
     The step delta solves the linearization corr(delta, o)_k + corr(o, delta)_k
     = target_k - sum_j o_{j+k} conj(o_j), k = 0..m, corr(a, b)_k = sum_j a_{j+k}
     conj(b_j), with the gauge Im delta_0 = 0 (Im o_0 stays 0): a real system in
-    2m + 1 unknowns. Below KRYLOV_MIN_ORDER it is solved densely, in O(m^3) time
-    and O(m^2) memory; from there on by GMRES on FFT products (inexact Newton:
-    Eisenstat & Walker 1996), in O(m log m) time per product and no matrix.
+    the 2m + 1 unknowns of ``_pack`` for both solvers (a monomial: m = 0).
+    Below KRYLOV_MIN_ORDER it is solved densely, in O(m^3) time and O(m^2)
+    memory; from there on by GMRES on FFT products (inexact Newton: Eisenstat &
+    Walker 1996), in O(m log m) time per product and no matrix.
     """
     m = outer.size - 1
     tol = NEWTON_TOL * float(target[0].real)
     newton_step = _dense_steps(m) if m < KRYLOV_MIN_ORDER else _krylov_step
 
-    def mismatch(o: np.ndarray) -> np.ndarray:
-        return target - np.convolve(o, np.conj(o[::-1]))[m:]
-
-    error = mismatch(outer)
+    error = target - _autocorrelation(outer)
     residual = float(np.max(np.abs(error)))
     steps, iterations = 0, None
     while residual > tol and steps < NEWTON_STEPS:  # False on NaN: stop and fail below
         step, iterations = newton_step(outer, error)
         outer = outer + step
-        error = mismatch(outer)
+        error = target - _autocorrelation(outer)
         residual = float(np.max(np.abs(error)))
         steps += 1
     if not residual <= tol:
@@ -271,18 +269,30 @@ def _wilson_newton(outer: np.ndarray, target: np.ndarray) -> np.ndarray:
     return outer
 
 
+def _pack(delta: np.ndarray) -> np.ndarray:
+    """The real unknowns of a Newton step: Re delta_0..m, then Im delta_1..m (Im delta_0 = 0)."""
+    return np.concatenate([delta.real, delta.imag[1:]])
+
+
+def _unpack(u: np.ndarray) -> np.ndarray:
+    """The complex step delta_0..m that ``_pack`` maps to u."""
+    delta = u[: (u.size + 1) // 2] + 0j
+    delta.imag[1:] = u[delta.size :]
+    return delta
+
+
 def _dense_steps(m: int):
-    """Newton steps for degree m from one dense real 2(m + 1) LAPACK solve each.
+    """Newton steps for degree m from one dense real LAPACK solve in 2m + 1 unknowns each.
 
     Writing the step as x + iy, the Jacobian is [[RT + RH, IT + IH], [IH - IT,
     RT - RH]] with T_{ki} = o_{i-k} (Toeplitz) and H_{kj} = o_{k+j} (Hankel),
-    zero outside 0..m, R/I their real and imaginary parts. The imaginary row
-    of k = 0 vanishes identically; the gauge y_0 = 0 (Im o_0 stays 0) takes
-    its place. The blocks are written in place from sliding windows over the
+    zero outside 0..m, R/I their real and imaginary parts, restricted to the
+    rows and columns of ``_pack``: the gauge drops y_0, and the imaginary row of
+    k = 0 vanishes. It is written in place from sliding windows over the
     zero-padded parts of o, set up once for all steps.
     """
     size = m + 1
-    jacobian = np.empty((2 * size, 2 * size))
+    jacobian = np.empty((2 * m + 1, 2 * m + 1))
     padded = np.zeros((2, 3 * m + 1))  # real and imaginary parts of o between m zeros each side
     windows = np.lib.stride_tricks.sliding_window_view(padded, size, axis=1)
     (rt, it), (rh, ih) = windows[:, m::-1], windows[:, m:]  # [k, i]: o_{i-k}, o_{k+i}
@@ -291,18 +301,13 @@ def _dense_steps(m: int):
         padded[0, m : 2 * m + 1] = outer.real
         padded[1, m : 2 * m + 1] = outer.imag
         np.add(rt, rh, out=jacobian[:size, :size])
-        np.add(it, ih, out=jacobian[:size, size:])
-        np.subtract(ih, it, out=jacobian[size:, :size])
-        np.subtract(rt, rh, out=jacobian[size:, size:])
-        jacobian[size] = 0.0
-        jacobian[size, size] = 1.0
-        rhs = np.concatenate([error.real, error.imag])
-        rhs[size] = 0.0
+        np.add(it[:, 1:], ih[:, 1:], out=jacobian[:size, size:])
+        np.subtract(ih[1:], it[1:], out=jacobian[size:, :size])
+        np.subtract(rt[1:, 1:], rh[1:, 1:], out=jacobian[size:, size:])
         try:
-            delta = np.linalg.solve(jacobian, rhs)
+            return _unpack(np.linalg.solve(jacobian, _pack(error))), None
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"completion Newton step failed: {exc}", module=_MOD) from exc
-        return delta[:size] + 1j * delta[size:], None
 
     return step
 
@@ -310,24 +315,19 @@ def _dense_steps(m: int):
 def _jacobian_product(outer: np.ndarray):
     """u -> J u for the real Newton system at ``outer``, by FFTs; no matrix is formed.
 
-    u holds Re delta_0..m and Im delta_1..m, J u the real parts of
-    (J delta)_k = corr(delta, o)_k + corr(o, delta)_k for k = 0..m and their
-    imaginary parts for k = 1..m (the k = 0 one is real). With F the length-L
-    DFT, L >= 2m + 1 so that no correlation wraps, J delta is F^-1(2 Re(F delta
-    conj(F o))) on 0..m, the conjugate of one rfft divided by L: per product,
-    one FFT of delta and one rfft; F o is taken once.
+    u and J u are laid out by ``_pack``: (J delta)_k = corr(delta, o)_k +
+    corr(o, delta)_k for k = 0..m, whose k = 0 entry is real. With F the
+    length-L DFT, L >= 2m + 1 so that no correlation wraps, J delta is
+    F^-1(2 Re(F delta conj(F o))) on 0..m, the conjugate of one rfft divided
+    by L: per product, one FFT of delta and one rfft; F o is taken once.
     """
     m = outer.size - 1
-    size = m + 1
     length = 1 << (2 * m).bit_length()
     spectrum = np.conj(np.fft.fft(outer, length)) * (2.0 / length)
-    delta = np.zeros(size, dtype=np.complex128)
 
     def product(u: np.ndarray) -> np.ndarray:
-        delta.real = u[:size]
-        delta.imag[1:] = u[size:]
-        folded = np.fft.rfft((np.fft.fft(delta, length) * spectrum).real)
-        return np.concatenate([folded.real[:size], -folded.imag[1:size]])
+        folded = np.fft.rfft((np.fft.fft(_unpack(u), length) * spectrum).real)
+        return _pack(np.conj(folded[: m + 1]))
 
     return product
 
@@ -342,12 +342,11 @@ def _krylov_step(outer: np.ndarray, error: np.ndarray) -> tuple[np.ndarray, int]
     breakdown (a zero diagonal in the triangular factor: the Krylov space is
     invariant yet the step not found) is a ``NumericalError``.
     """
-    m = outer.size - 1
     product = _jacobian_product(outer)
-    rhs = np.concatenate([error.real, error.imag[1:]])
+    rhs = _pack(error)
     norm = float(np.linalg.norm(rhs))
-    limit = min(KRYLOV_ITERATIONS, 2 * m + 1)
-    basis = np.empty((limit + 1, 2 * m + 1))
+    limit = min(KRYLOV_ITERATIONS, rhs.size)
+    basis = np.empty((limit + 1, rhs.size))
     basis[0] = rhs / norm
     triangle = np.zeros((limit, limit))
     rotations: list[tuple[float, float]] = []
@@ -382,9 +381,7 @@ def _krylov_step(outer: np.ndarray, error: np.ndarray) -> tuple[np.ndarray, int]
             basis[k + 1] = w / beta
         k += 1
     u = np.linalg.solve(triangle[:k, :k], projected[:k]) @ basis[:k]
-    step = u[: m + 1] + 0j
-    step.imag[1:] = u[m + 1 :]
-    return step, k
+    return _unpack(u), k
 
 
 def _real_positive_lead(coeffs: np.ndarray) -> PolynomialSpec:
@@ -406,8 +403,9 @@ def synthesize(p) -> GqspSequence:
     sup = sup_norm_on_circle(p)
     scale = 1.0
     if sup > 1.0 - SUP_MARGIN:
-        deficit = float(np.max(np.abs(_circle_deficit_coefficients(p))))
-        if deficit > 1e-14 or sup > 1.0 + 1e-12:
+        c = -_autocorrelation(p.array)  # the Laurent coefficients c_0..c_n of 1 - |P|^2
+        c[0] += 1.0
+        if float(np.max(np.abs(c))) > 1e-14 or sup > 1.0 + 1e-12:
             scale = (1.0 - SUP_MARGIN) / sup
             p = p.scaled(scale)
     q = _complete(p, scale * sup)
@@ -438,6 +436,8 @@ def synthesize(p) -> GqspSequence:
             overlap = u0.conjugate() * v0 + u1.conjugate() * v1  # analytically zero already
             v0, v1 = v0 - overlap * u0, v1 - overlap * u1
             norm = math.hypot(v0.real, v0.imag, v1.real, v1.imag)
+            if norm < STRIP_TOL:  # the constant pair is parallel to the leading one
+                raise NumericalError(f"stripping lost unitarity at layer {layer}", module=_MOD)
             v0, v1 = v0 / norm, v1 / norm
         else:
             v0, v1 = -u1.conjugate(), u0.conjugate()

@@ -57,7 +57,10 @@ class PolynomialSpec:
     coefficients: tuple[complex, ...] = field()
 
     def __init__(self, coefficients):
-        coeffs = [complex(c) for c in coefficients]
+        try:
+            coeffs = [complex(c) for c in coefficients]
+        except (TypeError, ValueError):  # strings, nested sequences, None
+            raise ValidationError("polynomial coefficients must be numbers", module=_MOD) from None
         if not coeffs:
             raise ValidationError("polynomial needs at least one coefficient", module=_MOD)
         for c in coeffs:

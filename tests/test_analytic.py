@@ -69,6 +69,10 @@ class TestExpPlan:
     def test_trivial_accuracy(self):
         assert exp_plan(2.0).order == 0
 
+    def test_rejects_nonpositive_eps(self):
+        with pytest.raises(ValidationError, match="eps must be positive"):
+            exp_plan(0)
+
     def test_growth_rate(self):
         # order grows like log(1/eps) / log log(1/eps), within a factor of two
         for eps in (1e-4, 1e-8, 1e-12):

@@ -6,7 +6,6 @@ from qevt.encoding import BlockEncoding, dilate, top_left_block
 from qevt.errors import ValidationError
 from qevt.evt import (
     assemble_circuit,
-    check_perturbation_bound,
     counter_order_for_degree,
     perturbation_bound,
     transform,
@@ -207,31 +206,3 @@ class TestPerturbationBound:
 
     def test_degree_three(self):
         assert perturbation_bound(3, 1e-4) == pytest.approx(np.sqrt(14) * 1e-4)
-
-    def test_zero_perturbation(self):
-        a = random_contraction(rng_for(12), 3, 0.8)
-        assert check_perturbation_bound(a, np.zeros((3, 3)), AVERAGING)
-
-    def test_small_perturbation(self):
-        rng = rng_for(13)
-        a = random_contraction(rng, 4, 0.9)
-        e = random_complex(rng, (4, 4))
-        e *= 1e-3 / opnorm(e)
-        assert check_perturbation_bound(a, e, AVERAGING)
-
-    def test_monte_carlo_sweep(self):
-        rng = rng_for(14)
-        for _ in range(200):
-            dim = int(rng.integers(2, 6))
-            deg = int(rng.integers(1, 9))
-            strength = float(rng.choice([1e-2, 1e-4]))
-            a = random_contraction(rng, dim, float(rng.uniform(0.2, 0.9)))
-            e = random_complex(rng, (dim, dim))
-            e *= strength / opnorm(e)
-            p = random_polynomial(rng, deg, sup=float(rng.uniform(0.4, 0.999)))
-            assert check_perturbation_bound(a, e, p)
-
-    def test_rejects_expansion(self):
-        a = np.eye(3) * 1.5
-        with pytest.raises(ValidationError):
-            check_perturbation_bound(a, np.zeros((3, 3)), AVERAGING)

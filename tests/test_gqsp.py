@@ -83,7 +83,7 @@ class TestSupNormOnCircle:
 class TestOnCircle:
     @pytest.mark.parametrize("grid", [16, 171, 512], ids=["folded", "exact", "padded"])
     def test_matches_horner_at_roots_of_unity(self, grid):
-        # 16 points on degree 170 is `qevt synthesize --grid 16`
+        # 16 points on degree 170: up to eleven coefficients fold onto each point
         p = PolynomialSpec(random_complex(rng_for(19), 171))
         pts = circle_grid(grid)
         bound = 1e-13 * np.sum(np.abs(p.array))  # both are sums of 171 rounded terms
@@ -99,6 +99,17 @@ class TestComplete:
     def test_monomial_completes_to_zero(self):
         q = complete(PolynomialSpec([0.0, 0.0, 1.0]))
         assert q.coefficients == (0j,)
+
+    @pytest.mark.parametrize(
+        "coeffs, factor",
+        [([0.0, 0.0, 0.3j], np.sqrt(0.91)), ([0.6], 0.8), ([0.0], 1.0)],
+        ids=["monomial", "constant", "zero"],
+    )
+    def test_constant_factor_through_newton(self, coeffs, factor):
+        # one real unknown: the outer start, a 1 x 1 dense step and the circle check
+        q = complete(PolynomialSpec(coeffs))
+        assert q.degree == 0
+        assert abs(q.coefficients[0] - factor) <= 1e-15
 
     def test_scaled_averaging_polynomial_matches_sine(self):
         # for s(1+z^2)/2 with s = 1 - 1e-6 the companion obeys
@@ -336,6 +347,30 @@ class TestSynthesize:
             residual = np.max(np.abs(evaluate_scalar(seq, pts) - seq.scale * p(pts)))
             assert residual <= 1e-10
 
+    def test_monomial_at_the_margin(self):
+        # 2 z^3 is rescaled to the margin; its Q is a constant near 1.4e-3
+        p = PolynomialSpec([0.0, 0.0, 0.0, 2.0])
+        seq = synthesize(p)
+        assert seq.scale == pytest.approx((1.0 - gqsp.SUP_MARGIN) / 2.0, rel=1e-15)
+        pts = circle_grid(4096)
+        assert np.max(np.abs(evaluate_scalar(seq, pts) - seq.scale * p(pts))) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "p, q, message",
+        [
+            ([0.5, 0.5j], [0.0], "stripping lost unitarity at layer 0"),
+            ([0.5, 1e-14], [0.5], "degenerate layer 0: both degree-1 coefficients vanish"),
+            ([0.4, 0.4], [0.5], "layer stripping lost unitarity: final column norm 0.640312424"),
+        ],
+        ids=["parallel-pairs", "degenerate-layer", "final-column"],
+    )
+    def test_stripping_failures_are_numerical_errors(self, monkeypatch, p, q, message):
+        # a Q that is not P's complement, as a faulty completion would return it
+        monkeypatch.setattr(gqsp, "_complete", lambda poly, sup: PolynomialSpec(q))
+        with pytest.raises(NumericalError, match=message) as info:
+            synthesize(PolynomialSpec(p))
+        assert info.value.module == "gqsp"
+
     def test_degree_2315_at_the_margin(self):
         # 1/(1.01 - z) at eps 1e-8, rescaled to the margin: matrix-free Newton
         # steps; a dense step here is a 4632 x 4632 solve
@@ -365,6 +400,25 @@ class TestSynthesize:
         p = random_polynomial(rng_for(5), 6, sup=0.8)
         for rot in synthesize(p).rotations:
             assert opnorm(rot.conj().T @ rot - np.eye(2)) <= 1e-10
+
+
+class TestGqspSequence:
+    @pytest.mark.parametrize(
+        "rotations, scale, message",
+        [
+            ((), 1.0, "at least one rotation"),
+            ((X,), 0.0, "invalid subnormalization scale 0.0"),
+            ((X,), 2.0, "invalid subnormalization scale 2.0"),
+            ((X, np.eye(3)), 1.0, "rotation 1 is not 2x2"),
+            ((X, [[1, 0], [0]]), 1.0, "rotation 1 is not 2x2"),
+            ((X, [[np.nan, 0], [0, 1]]), 1.0, "NaN or Inf"),
+        ],
+        ids=["empty", "scale-0", "scale-2", "3x3", "ragged", "nan"],
+    )
+    def test_rejects_invalid_sequences(self, rotations, scale, message):
+        with pytest.raises(ValidationError, match=message) as info:
+            GqspSequence(rotations=rotations, scale=scale)
+        assert info.value.module == "gqsp"
 
 
 class TestEvaluateScalar:

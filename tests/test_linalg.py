@@ -63,6 +63,12 @@ class TestPolynomialSpec:
         with pytest.raises(ValidationError):
             PolynomialSpec([])
 
+    @pytest.mark.parametrize("coefficient", ["abc", [1, 2], None], ids=["text", "pair", "none"])
+    def test_non_numeric_coefficient_rejected(self, coefficient):
+        with pytest.raises(ValidationError, match="must be numbers") as info:
+            PolynomialSpec([coefficient])
+        assert info.value.module == "linalg"
+
     def test_derivative(self):
         p = PolynomialSpec([3.0, 2.0, 1.0])  # 3 + 2z + z^2
         assert p.derivative().coefficients == (2 + 0j, 2 + 0j)
