@@ -10,6 +10,7 @@ decomposition of arbitrary input is attempted (that problem is ill-posed).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -57,6 +58,11 @@ def _check_on_disk(plan_values, target_values, bound: float, what: str) -> None:
         )
 
 
+def _check_eps(eps: float) -> None:
+    if not 0 < eps < math.inf:  # also False on NaN
+        raise ValidationError(f"eps must be positive and finite, got {eps}", module=_MOD)
+
+
 def shifted_inverse_plan(c: complex, eps: float) -> TruncationPlan:
     """Geometric-series truncation of 1/(c - z) for a pole outside the disk.
 
@@ -64,8 +70,9 @@ def shifted_inverse_plan(c: complex, eps: float) -> TruncationPlan:
     with eta = |c| - 1 makes the geometric tail at most eps on the disk.
     """
     c = complex(c)
-    if eps <= 0:
-        raise ValidationError("eps must be positive", module=_MOD)
+    _check_eps(eps)
+    if not cmath.isfinite(c):
+        raise ValidationError(f"the pole c = {c} must be finite", module=_MOD)
     mod = abs(c)
     if mod <= 1.0:
         raise ValidationError(
@@ -88,8 +95,7 @@ def exp_plan(eps: float) -> TruncationPlan:
     consecutive tail terms is at most 1/2, so the geometric majorant is
     valid for every N >= 0.
     """
-    if eps <= 0:
-        raise ValidationError("eps must be positive", module=_MOD)
+    _check_eps(eps)
     n = 0
     while 2.0 / math.factorial(n + 1) > eps:
         n += 1
@@ -109,10 +115,10 @@ def taylor_truncation_order(r: float, m: float, eps: float) -> int:
     to N = ceil(log_r(m / ((r-1) eps))) leaves a tail of at most eps on the
     closed unit disk.
     """
-    if r <= 1.0:
-        raise ValidationError(f"radius must exceed 1, got {r}", module=_MOD)
-    if m <= 0 or eps <= 0:
-        raise ValidationError("bound and eps must be positive", module=_MOD)
+    if not 1.0 < r < math.inf:  # also False on NaN
+        raise ValidationError(f"radius must exceed 1 and be finite, got {r}", module=_MOD)
+    if not (0 < m < math.inf and 0 < eps < math.inf):
+        raise ValidationError("bound and eps must be positive and finite", module=_MOD)
     return max(0, math.ceil(math.log(m / ((r - 1.0) * eps), r)))
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 
 import numpy as np
@@ -315,6 +316,16 @@ def _cmd_demo(args) -> int:
 # argument parsing
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"finite number expected, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qevt",
@@ -324,7 +335,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--tolerance", type=float, default=1e-8, help="pass/fail threshold")
+        p.add_argument(
+            "--tolerance", type=_finite_float, default=1e-8, help="pass/fail threshold"
+        )
         p.add_argument("--report", default=None, help="write output here instead of stdout")
 
     p = sub.add_parser("dilate", help="embed a contraction in a one-ancilla unitary")

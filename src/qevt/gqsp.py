@@ -13,19 +13,22 @@ outer function (FFTs of log(1 - |P|^2) on a grid sized from the degree,
 damped near the margin so the grid resolves it) and is finished by
 Wilson's Newton iteration on its coefficients, the same real system for
 every degree (a monomial's constant factor included): dense solves at low
-degree, GMRES on FFT correlations above (inexact Newton, no matrix). Layer
-stripping works on Python scalars and two vector updates per layer. P and
-Q on roots of unity, on grids that grow with the degree, are one FFT each;
-the sup-norm zooms from a degree-sized grid. Replacing diag(1, z) with the
-controlled unitary diag(I, U) lifts the scalar identity to a block-encoding
-of P(U) for unitary U. That circuit is applied, never formed: the d columns
-entering with the processing qubit at zero are carried through it, and
-only the block they leave in the processing-0 half is returned.
+degree, GMRES on FFT correlations above (inexact Newton, no matrix). Each
+layer is stripped by the SU(2) rotation of the pair's leading coefficients
+alone, on Python scalars and two vector updates: no orthogonalization, so
+rounding does not grow from layer to layer. P and Q on roots of unity, on
+grids that grow with the degree, are one FFT each; the sup-norm zooms from
+a degree-sized grid. Replacing diag(1, z) with the controlled unitary
+diag(I, U) lifts the scalar identity to a block-encoding of P(U) for
+unitary U. That circuit is applied, never formed: the d columns entering
+with the processing qubit at zero are carried through it, and only the
+block they leave in the processing-0 half is returned.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,7 +61,7 @@ class GqspSequence:
     def __post_init__(self):
         if not self.rotations:
             raise ValidationError("a sequence needs at least one rotation", module=_MOD)
-        if not 0 < self.scale <= 1.0 + 1e-12:
+        if not isinstance(self.scale, numbers.Real) or not 0 < self.scale <= 1.0 + 1e-12:
             raise ValidationError(f"invalid subnormalization scale {self.scale}", module=_MOD)
         for k, rot in enumerate(self.rotations):
             try:
@@ -67,7 +70,10 @@ class GqspSequence:
                 square = False
             if not square:
                 raise ValidationError(f"rotation {k} is not 2x2", module=_MOD)
-        stack = np.array(self.rotations, dtype=np.complex128)  # (n + 1, 2, 2), a copy
+        try:
+            stack = np.array(self.rotations, dtype=np.complex128)  # (n + 1, 2, 2), a copy
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"non-numeric rotation entry: {exc}", module=_MOD) from exc
         if not np.all(np.isfinite(stack)):
             raise ValidationError("a rotation contains NaN or Inf entries", module=_MOD)
         gram = stack.conj().transpose(0, 2, 1) @ stack
@@ -395,6 +401,12 @@ def _real_positive_lead(coeffs: np.ndarray) -> PolynomialSpec:
 def synthesize(p) -> GqspSequence:
     """Rotation sequence whose scalar evaluation reproduces P on the circle.
 
+    P is completed to (P, Q) and stripped one degree per layer by the SU(2)
+    rotation [[conj a, b], [-conj b, a]] of the unit leading pair (b, a) =
+    (p_m, q_m) / |(p_m, q_m)|, which clears the constant pair too: p_m conj(p_0)
+    + q_m conj(q_0) is the z^m coefficient of |P|^2 + |Q|^2 = 1. A vanishing
+    leading pair, or a final column that is not unit, is a ``NumericalError``.
+
     When sup |P| exceeds the 1 - 1e-6 completion margin, P is rescaled to fit
     and the factor is stored in the returned sequence's ``scale`` field, i.e.
     the sequence realizes scale * P.
@@ -427,26 +439,11 @@ def synthesize(p) -> GqspSequence:
                 f"degenerate layer {layer}: both degree-{m} coefficients vanish",
                 module=_MOD,
             )
-        # the first column annihilates the leading pair, the second the constant one
-        u0, u1 = lead_q.conjugate() / top, -lead_p.conjugate() / top
-        const_p, const_q = pc.item(0), qc.item(0)
-        bottom = math.hypot(const_p.real, const_p.imag, const_q.real, const_q.imag)
-        if bottom >= STRIP_TOL:
-            v0, v1 = const_q.conjugate() / bottom, -const_p.conjugate() / bottom
-            overlap = u0.conjugate() * v0 + u1.conjugate() * v1  # analytically zero already
-            v0, v1 = v0 - overlap * u0, v1 - overlap * u1
-            norm = math.hypot(v0.real, v0.imag, v1.real, v1.imag)
-            if norm < STRIP_TOL:  # the constant pair is parallel to the leading one
-                raise NumericalError(f"stripping lost unitarity at layer {layer}", module=_MOD)
-            v0, v1 = v0 / norm, v1 / norm
-        else:
-            v0, v1 = -u1.conjugate(), u0.conjugate()
-        rotations[layer] = ((u0, v0), (u1, v1))
+        # the SU(2) rotation of the leading pair, which also clears the constant one
+        a, b = lead_q / top, lead_p / top
+        rotations[layer] = ((a.conjugate(), b), (-b.conjugate(), a))
         # conjugate the pair by the rotation: drop one degree on top, one constant below
-        pc, qc = (
-            u0.conjugate() * pc[:m] + u1.conjugate() * qc[:m],
-            v0.conjugate() * pc[1:] + v1.conjugate() * qc[1:],
-        )
+        pc, qc = a * pc[:m] - b * qc[:m], b.conjugate() * pc[1:] + a.conjugate() * qc[1:]
 
     const_p, const_q = pc.item(0), qc.item(0)
     closing = math.hypot(const_p.real, const_p.imag, const_q.real, const_q.imag)

@@ -62,22 +62,16 @@ def random_polynomial(
 
 
 def reference_strip(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Layer stripping on numpy 2-vectors, one column at a time: the reference
-    for the scalar loop in ``gqsp.synthesize`` (p, q of equal length n + 1)."""
+    """Layer stripping on numpy 2-vectors, one layer at a time: the reference
+    for the scalar loop in ``gqsp.synthesize`` (p, q of equal length n + 1).
 
-    def unit(top, bottom):
-        return np.array([top, bottom]) / np.sqrt(abs(top) ** 2 + abs(bottom) ** 2)
-
+    Each layer is the SU(2) matrix [[conj a, b], [-conj b, a]] of the unit
+    leading pair (b, a) = (p_m, q_m) / |(p_m, q_m)|.
+    """
     rotations = []
     for m in range(len(p) - 1, 0, -1):
-        col0 = unit(np.conj(q[m]), -np.conj(p[m]))
-        if np.hypot(abs(p[0]), abs(q[0])) >= 1e-13:
-            col1 = unit(np.conj(q[0]), -np.conj(p[0]))
-            col1 = col1 - (col0.conj() @ col1) * col0
-            col1 = col1 / np.linalg.norm(col1)
-        else:
-            col1 = np.array([-np.conj(col0[1]), np.conj(col0[0])])
-        rot = np.column_stack([col0, col1])
+        b, a = np.array([p[m], q[m]]) / np.linalg.norm([p[m], q[m]])
+        rot = np.array([[np.conj(a), b], [-np.conj(b), a]])
         rotations.append(rot)
         pair = rot.conj().T @ np.vstack([p, q])
         p, q = pair[0, :m], pair[1, 1:]

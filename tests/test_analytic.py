@@ -57,6 +57,21 @@ class TestShiftedInversePlan:
             values = np.abs(1.0 / (c - disk_samples(2000)))
             assert np.max(values) <= 1.0 / eta + 1e-12
 
+    @pytest.mark.parametrize(
+        "c, eps, message",
+        [
+            (2.0, math.nan, "eps must be positive and finite, got nan"),
+            (2.0, math.inf, "eps must be positive and finite, got inf"),
+            (math.nan, 1e-6, r"the pole c = \(nan\+0j\) must be finite"),
+            (complex(2.0, math.inf), 1e-6, r"the pole c = \(2\+infj\) must be finite"),
+        ],
+        ids=["eps-nan", "eps-inf", "c-nan", "c-inf"],
+    )
+    def test_rejects_non_finite_arguments(self, c, eps, message):
+        with pytest.raises(ValidationError, match=message) as info:
+            shifted_inverse_plan(c, eps)
+        assert info.value.module == "analytic"
+
     def test_monotone_in_eps(self):
         orders = [shifted_inverse_plan(1.7, eps).order for eps in (1e-2, 1e-4, 1e-8)]
         assert orders == sorted(orders)
@@ -68,6 +83,12 @@ class TestExpPlan:
 
     def test_trivial_accuracy(self):
         assert exp_plan(2.0).order == 0
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_rejects_non_finite_eps(self, eps):
+        # NaN and infinity compare false with every order's tail: order 0 is no answer
+        with pytest.raises(ValidationError, match="eps must be positive and finite"):
+            exp_plan(eps)
 
     def test_rejects_nonpositive_eps(self):
         with pytest.raises(ValidationError, match="eps must be positive"):
@@ -103,6 +124,22 @@ class TestTaylorTruncationOrder:
     def test_rejects_radius_at_most_one(self):
         with pytest.raises(ValidationError):
             taylor_truncation_order(1.0, 1.0, 1e-3)
+
+    @pytest.mark.parametrize(
+        "r, m, eps, message",
+        [
+            (math.nan, 1.0, 1e-3, "radius must exceed 1 and be finite, got nan"),
+            (math.inf, 1.0, 1e-3, "radius must exceed 1 and be finite, got inf"),
+            (2.0, math.nan, 1e-3, "bound and eps must be positive and finite"),
+            (2.0, math.inf, 1e-3, "bound and eps must be positive and finite"),
+            (2.0, 1.0, math.nan, "bound and eps must be positive and finite"),
+            (2.0, 1.0, math.inf, "bound and eps must be positive and finite"),
+        ],
+        ids=["r-nan", "r-inf", "m-nan", "m-inf", "eps-nan", "eps-inf"],
+    )
+    def test_rejects_non_finite_arguments(self, r, m, eps, message):
+        with pytest.raises(ValidationError, match=message):
+            taylor_truncation_order(r, m, eps)
 
     def test_consistent_with_shifted_inverse(self):
         # for f = 1/(c - z): continuation radius |c|, growth set by the pole's
@@ -174,6 +211,16 @@ class TestJordanPoly:
             assert np.allclose(diag, diag[0])
 
 
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: jordan_block(0.5, 0), lambda: jordan_poly(PolynomialSpec([1.0]), 0.5, 0)],
+        ids=["block", "poly"],
+    )
+    def test_rejects_empty_block(self, build):
+        with pytest.raises(ValidationError, match="block size must be positive"):
+            build()
+
+
 class TestAssembleFromJordan:
     def test_identity_similarity(self):
         jf = JordanForm(similarity=np.eye(3), blocks=((0.5, 3),))
@@ -205,6 +252,19 @@ class TestAssembleFromJordan:
         s = np.diag([1.0, 1e-9])
         jf = JordanForm(similarity=s, blocks=((0.5, 1), (0.2, 1)))
         with pytest.raises(ValidationError, match="ill-conditioned"):
+            assemble_from_jordan(jf)
+
+    @pytest.mark.parametrize(
+        "similarity, blocks, message",
+        [
+            (np.eye(2), (), "at least one Jordan block is required"),
+            (np.ones((2, 2)), ((0.5, 2),), "similarity matrix is singular"),
+        ],
+        ids=["no-blocks", "singular"],
+    )
+    def test_rejects_invalid_forms(self, similarity, blocks, message):
+        jf = JordanForm(similarity=similarity, blocks=blocks)
+        with pytest.raises(ValidationError, match=message):
             assemble_from_jordan(jf)
 
     def test_rejects_dimension_mismatch(self):

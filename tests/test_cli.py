@@ -176,9 +176,18 @@ class TestMalformedInputs:
             ("regularize", json.dumps({"ancillas": 20000, "system_dim": 1, "rows": 2, "cols": 2,
                                        "data": ONE_UNITARY}),
              "unitary dimension 2 != 2^20000 * 1"),
+            ("dilate", '{"rows": 2, "cols": 1, "data": [[0, 0]]}',
+             "data length 1 != rows*cols = 2"),
+            ("dilate", '{"cols": 1, "data": [[0, 0]]}', "missing field 'rows'"),
+            ("regularize", json.dumps({"system_dim": 1, "rows": 2, "cols": 2,
+                                       "data": ONE_UNITARY}),
+             "missing field 'ancillas'"),
+            ("synthesize", '{"coeffs": [[0.5, 0]]}', "missing field 'coefficients'"),
+            ("dilate", "[[0, 0]]", "top-level JSON object expected"),
         ],
         ids=["data-int", "coefficients-int", "huge-int", "rows-true", "ancillas-string",
-             "ancillas-huge"],
+             "ancillas-huge", "data-length", "missing-rows", "missing-ancillas",
+             "missing-coefficients", "top-level-list"],
     )
     def test_exit_2_with_one_json_line(self, tmp_path, capsys, command, text, message):
         path = tmp_path / "in.json"
@@ -426,6 +435,33 @@ class TestTransformCommand:
         assert error["module"] == "gqsp"
         assert "did not converge" in error["error"]
 
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            (["--inverse", "2", "--eps", "nan"], "eps must be positive and finite, got nan"),
+            (["--inverse", "2", "--eps", "inf"], "eps must be positive and finite, got inf"),
+            (["--inverse", "nan"], "the pole c = (nan+0j) must be finite"),
+            (["--inverse", "inf"], "the pole c = (inf+0j) must be finite"),
+            (["--exp", "--eps", "nan"], "eps must be positive and finite, got nan"),
+            (["--exp", "--eps", "inf"], "eps must be positive and finite, got inf"),
+        ],
+        ids=["inverse-eps-nan", "inverse-eps-inf", "inverse-nan", "inverse-inf",
+             "exp-eps-nan", "exp-eps-inf"],
+    )
+    def test_non_finite_builtin_exits_2(self, tmp_path, capsys, source, message):
+        matrix = write_matrix(tmp_path / "a.json", 0.5 * np.eye(2))
+        assert cli.main(["transform", matrix, *source]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = json.loads(captured.err)
+        assert error == {"error": message, "module": "analytic", "exit": 2}
+
+    def test_unparseable_shift_exits_2(self, tmp_path, capsys):
+        matrix = write_matrix(tmp_path / "a.json", 0.5 * np.eye(2))
+        assert cli.main(["transform", matrix, "--inverse", "abc"]) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error == {"error": "cannot parse complex shift 'abc'", "module": "cli", "exit": 2}
+
     def test_requires_exactly_one_polynomial_source(self, tmp_path):
         matrix = write_matrix(tmp_path / "a.json", np.eye(2))
         assert cli.main(["transform", matrix]) == 2
@@ -469,6 +505,26 @@ class TestUnreadOptions:
             cli.main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "abc"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["synthesize", "--coeffs", "p.json"],
+            ["transform", "a.json", "--exp"],
+            ["verify", "u.json", "a.json", "--ancillas", "1", "--order", "1"],
+            ["demo", "jordan"],
+        ],
+        ids=["synthesize", "transform", "verify", "demo"],
+    )
+    def test_non_finite_tolerance_is_usage_error(self, argv, value, capsys):
+        # a NaN threshold would fail every comparison: exit 1 whatever the result
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, f"--tolerance={value}"])  # "=" lets "-inf" pass as a value
+        assert exc.value.code == 2
+        assert f"argument --tolerance: finite number expected, got '{value}'" in (
+            capsys.readouterr().err
+        )
 
 
 class TestVerifyCommand:
@@ -519,6 +575,13 @@ class TestVerifyCommand:
         unitary = write_matrix(tmp_path / "u.json", np.eye(4))
         matrix = write_matrix(tmp_path / "a.json", np.eye(3))
         assert cli.main(["verify", unitary, matrix, "--ancillas", "1", "--order", "1"]) == 2
+
+    def test_non_square_target_exits_2(self, tmp_path, capsys):
+        unitary = write_matrix(tmp_path / "u.json", np.eye(4))
+        matrix = write_matrix(tmp_path / "a.json", np.zeros((2, 3)))
+        assert cli.main(["verify", unitary, matrix, "--ancillas", "1", "--order", "1"]) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error == {"error": "target matrix must be square", "module": "cli", "exit": 2}
 
     def test_huge_ancilla_count_exits_2(self, tmp_path, capsys):
         # 2^20000 has more digits than Python formats by default

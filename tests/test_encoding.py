@@ -26,6 +26,18 @@ class TestBlockEncoding:
         with pytest.raises(ValidationError, match="dimension"):
             BlockEncoding(unitary=np.eye(4), ancilla_qubits=1, system_dim=3)
 
+    @pytest.mark.parametrize(
+        "ancillas, system_dim, message",
+        [
+            (-1, 4, "ancilla count must be nonnegative"),
+            (0, 0, "system dimension must be positive"),
+        ],
+        ids=["ancillas", "system-dim"],
+    )
+    def test_rejects_invalid_counts(self, ancillas, system_dim, message):
+        with pytest.raises(ValidationError, match=message):
+            BlockEncoding(unitary=np.eye(4), ancilla_qubits=ancillas, system_dim=system_dim)
+
     def test_small_defect_on_many_entries_is_accepted(self):
         # ||E||_F = 0.9e-9 * sqrt(64) is above the tolerance, ||E|| = 0.9e-9 is not:
         # the exact operator norm decides
@@ -139,6 +151,11 @@ class TestVerifyEncoding:
         with pytest.raises(ValidationError):
             verify_encoding(be, np.zeros((3, 3)), 1e-6)
 
+    def test_rejects_negative_tolerance(self):
+        a = np.zeros((2, 2))
+        with pytest.raises(ValidationError, match="tolerance must be nonnegative"):
+            verify_encoding(dilate(a), a, -1e-6)
+
     def test_encoded_block_is_contraction(self):
         # any valid encoding satisfies ||encoded block|| <= 1
         rng = rng_for(7)
@@ -192,3 +209,15 @@ class TestRegularityProfile:
             profile = regularity_profile(be, a, k_max)
             assert max(dense[order:]) > 1e-3
             assert np.max(np.abs(np.subtract(profile, dense))) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "target, k_max, message",
+        [
+            (np.zeros((3, 3)), 2, "target dimension 3 != encoded system dimension 2"),
+            (np.zeros((2, 2)), 0, "k_max must be positive"),
+        ],
+        ids=["dimension", "k-max"],
+    )
+    def test_rejects_invalid_arguments(self, target, k_max, message):
+        with pytest.raises(ValidationError, match=message):
+            regularity_profile(dilate(np.zeros((2, 2))), target, k_max)

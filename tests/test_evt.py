@@ -206,3 +206,12 @@ class TestPerturbationBound:
 
     def test_degree_three(self):
         assert perturbation_bound(3, 1e-4) == pytest.approx(np.sqrt(14) * 1e-4)
+
+    @pytest.mark.parametrize(
+        "degree, eps, message",
+        [(-1, 1e-4, "degree must be nonnegative"), (3, -1e-4, "eps must be nonnegative")],
+        ids=["degree", "eps"],
+    )
+    def test_rejects_negative_arguments(self, degree, eps, message):
+        with pytest.raises(ValidationError, match=message):
+            perturbation_bound(degree, eps)

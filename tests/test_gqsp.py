@@ -358,7 +358,8 @@ class TestSynthesize:
     @pytest.mark.parametrize(
         "p, q, message",
         [
-            ([0.5, 0.5j], [0.0], "stripping lost unitarity at layer 0"),
+            # with Q = 0 the one layer strips, leaving a column of P's norm 0.5
+            ([0.5, 0.5j], [0.0], "final column norm 0.499999500"),
             ([0.5, 1e-14], [0.5], "degenerate layer 0: both degree-1 coefficients vanish"),
             ([0.4, 0.4], [0.5], "layer stripping lost unitarity: final column norm 0.640312424"),
         ],
@@ -381,10 +382,8 @@ class TestSynthesize:
         assert np.max(np.abs(evaluate_scalar(seq, pts) - seq.scale * p(pts))) <= 1e-10
 
     def test_stripping_matches_vector_reference(self):
-        # stripping amplifies rounding about 2x per layer, so two arithmetics
-        # agree tightly only over the first dozen layers
         rng = rng_for(21)
-        for degree in (1, 2, 5, 12):
+        for degree in (1, 2, 5, 12, 64, 128):
             p = random_polynomial(rng, degree, sup=0.9)
             q = complete(p).array
             assert q.size == degree + 1  # the constant term of p is nonzero
@@ -401,6 +400,35 @@ class TestSynthesize:
         for rot in synthesize(p).rotations:
             assert opnorm(rot.conj().T @ rot - np.eye(2)) <= 1e-10
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: random_polynomial(rng_for(22), 40, sup=0.9),
+            lambda: random_polynomial(rng_for(23), 128, sup=1.0),  # rescaled to the margin
+            lambda: shifted_inverse_plan(1.1, 1e-6).coefficients,
+        ],
+        ids=["random", "margin", "plan"],
+    )
+    def test_rotations_are_special_unitary(self, make):
+        rotations = np.array(synthesize(make()).rotations)
+        assert np.max(np.abs(np.linalg.det(rotations) - 1.0)) <= 1e-14
+
+    def test_rotations_stable_under_rounding_of_q(self, monkeypatch):
+        # a completion 1e-16 away, as another arithmetic would return it, must
+        # move no rotation by more than rounding, in the last layers as well
+        p = random_polynomial(rng_for(24), 128, sup=0.9)
+        baseline = np.array(synthesize(p).rotations)
+        noise = random_complex(rng_for(25), p.degree + 1)
+        original = gqsp._complete
+
+        def perturbed(poly, sup):
+            q = original(poly, sup).array
+            return PolynomialSpec(q * (1.0 + 1e-16 * noise[: q.size]))
+
+        monkeypatch.setattr(gqsp, "_complete", perturbed)
+        moved = np.abs(np.array(synthesize(p).rotations) - baseline)
+        assert np.max(moved) <= 1e-12
+
 
 class TestGqspSequence:
     @pytest.mark.parametrize(
@@ -412,8 +440,14 @@ class TestGqspSequence:
             ((X, np.eye(3)), 1.0, "rotation 1 is not 2x2"),
             ((X, [[1, 0], [0]]), 1.0, "rotation 1 is not 2x2"),
             ((X, [[np.nan, 0], [0, 1]]), 1.0, "NaN or Inf"),
+            ((X, [["a", 0], [0, 1]]), 1.0, "non-numeric rotation entry"),
+            ((X,), "x", "invalid subnormalization scale x"),
+            ((X,), None, "invalid subnormalization scale None"),
         ],
-        ids=["empty", "scale-0", "scale-2", "3x3", "ragged", "nan"],
+        ids=[
+            "empty", "scale-0", "scale-2", "3x3", "ragged", "nan",
+            "string-entry", "scale-str", "scale-none",
+        ],
     )
     def test_rejects_invalid_sequences(self, rotations, scale, message):
         with pytest.raises(ValidationError, match=message) as info:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qevt.errors import ValidationError
-from qevt.linalg import PolynomialSpec, horner_eval, operator_norm
+from qevt.linalg import PolynomialSpec, as_matrix, horner_eval, operator_norm
 
 from helpers import naive_poly_apply, opnorm, random_complex, rng_for
 
@@ -27,6 +27,12 @@ class TestOperatorNorm:
         bad = np.array([[np.nan, 0], [0, 1]])
         with pytest.raises(ValidationError):
             operator_norm(bad)
+
+    @pytest.mark.parametrize("shape", [(3,), (0, 0)], ids=["vector", "empty"])
+    def test_rejects_non_matrix(self, shape):
+        with pytest.raises(ValidationError, match=r"nonempty 2-D array, got shape") as info:
+            as_matrix(np.ones(shape))
+        assert info.value.module == "linalg"
 
     def test_submultiplicative(self):
         rng = rng_for(5)
@@ -68,6 +74,13 @@ class TestPolynomialSpec:
         with pytest.raises(ValidationError, match="must be numbers") as info:
             PolynomialSpec([coefficient])
         assert info.value.module == "linalg"
+
+    @pytest.mark.parametrize(
+        "coefficient", [np.nan, np.inf, complex(0.0, np.nan)], ids=["nan", "inf", "imag-nan"]
+    )
+    def test_non_finite_coefficient_rejected(self, coefficient):
+        with pytest.raises(ValidationError, match="polynomial coefficient is not finite"):
+            PolynomialSpec([0.5, coefficient])
 
     def test_derivative(self):
         p = PolynomialSpec([3.0, 2.0, 1.0])  # 3 + 2z + z^2
