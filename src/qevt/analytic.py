@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,8 +141,7 @@ def jordan_poly(p, eigenvalue: complex, size: int) -> np.ndarray:
     deriv = p
     for k in range(size):
         value = complex(deriv(complex(eigenvalue))) / math.factorial(k)
-        for j in range(size - k):
-            out[j, j + k] = value
+        np.fill_diagonal(out[:, k:], value)  # the k-th superdiagonal
         deriv = deriv.derivative()
     return out
 
@@ -151,7 +151,12 @@ def assemble_from_jordan(jf: JordanForm) -> np.ndarray:
     s = ensure_square(as_matrix(jf.similarity, name="similarity"), name="similarity")
     if not jf.blocks:
         raise ValidationError("at least one Jordan block is required", module=_MOD)
-    total = sum(size for _, size in jf.blocks)
+    sizes = [size for _, size in jf.blocks]
+    if not all(isinstance(size, numbers.Integral) and size >= 1 for size in sizes):
+        raise ValidationError(
+            f"Jordan block sizes must be positive integers, got {sizes}", module=_MOD
+        )
+    total = sum(sizes)
     if total != s.shape[0]:
         raise ValidationError(
             f"blocks cover dimension {total} but similarity is {s.shape[0]} x {s.shape[0]}",

@@ -120,7 +120,10 @@ def _pairs_to_complex(pairs, what: str) -> np.ndarray:
 
 
 def load_matrix(path: str) -> np.ndarray:
-    payload = _load_json(path)
+    return _matrix_from_payload(_load_json(path), path)
+
+
+def _matrix_from_payload(payload: dict, path: str) -> np.ndarray:
     for key in ("rows", "cols", "data"):
         if key not in payload:
             raise ValidationError(f"{path}: missing field '{key}'", module=_MOD)
@@ -140,7 +143,7 @@ def load_encoding(path: str) -> encoding.BlockEncoding:
     for key in ("ancillas", "system_dim"):
         if key not in payload:
             raise ValidationError(f"{path}: missing field '{key}'", module=_MOD)
-    matrix = load_matrix(path)
+    matrix = _matrix_from_payload(payload, path)
     try:
         ancillas, system_dim = int(payload["ancillas"]), int(payload["system_dim"])
     except (TypeError, ValueError, OverflowError):
@@ -271,30 +274,20 @@ def _random_contraction(rng: np.random.Generator, dim: int, norm: float) -> np.n
 
 
 def _cmd_demo(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    if args.which == "inverse":
-        plan = analytic.shifted_inverse_plan(2.0, 1e-3)
-        a = _random_contraction(rng, 4, 0.9)
+    if args.which != "jordan":
+        a = _random_contraction(np.random.default_rng(args.seed), 4, 0.9)
+        if args.which == "inverse":
+            plan = analytic.shifted_inverse_plan(2.0, 1e-3)
+            reference = np.linalg.inv(2.0 * np.eye(4) - a)
+        else:
+            plan = analytic.exp_plan(1e-10)
+            reference = horner_eval(analytic.exp_plan(1e-14).coefficients, a)
         report = evt.transform(a, plan.coefficients)
-        reference = np.linalg.inv(2.0 * np.eye(4) - a)
         payload = {
-            "demo": "inverse",
+            "demo": args.which,
             "order": plan.order,
             "certified_error": plan.certified_error,
             "function_error": float(operator_norm(report.result_block - reference)),
-        }
-    elif args.which == "exp":
-        plan = analytic.exp_plan(1e-10)
-        a = _random_contraction(rng, 4, 0.9)
-        report = evt.transform(a, plan.coefficients)
-        reference = analytic.exp_plan(1e-14).coefficients
-        payload = {
-            "demo": "exp",
-            "order": plan.order,
-            "certified_error": plan.certified_error,
-            "function_error": float(
-                operator_norm(report.result_block - horner_eval(reference, a))
-            ),
         }
     else:
         block = analytic.jordan_block(0.5, 3)
@@ -326,6 +319,22 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _nonnegative(convert):
+    """An argparse type: ``convert``, then a usage error for a negative value."""
+
+    def parse(text: str):
+        value = convert(text)
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"nonnegative number expected, got {text!r}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
+_tolerance, _count = _nonnegative(_finite_float), _nonnegative(int)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qevt",
@@ -335,9 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument(
-            "--tolerance", type=_finite_float, default=1e-8, help="pass/fail threshold"
-        )
+        p.add_argument("--tolerance", type=_tolerance, default=1e-8, help="pass/fail threshold")
         p.add_argument("--report", default=None, help="write output here instead of stdout")
 
     p = sub.add_parser("dilate", help="embed a contraction in a one-ancilla unitary")
@@ -369,13 +376,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("unitary", help="unitary matrix JSON file")
     p.add_argument("matrix", help="encoded matrix JSON file")
     p.add_argument("--ancillas", type=int, required=True)
-    p.add_argument("--order", type=int, required=True, help="required regularity order")
+    p.add_argument("--order", type=_count, required=True, help="required regularity order")
     common(p)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("demo", help="run a worked example end to end")
     p.add_argument("which", choices=("inverse", "exp", "jordan"))
-    p.add_argument("--seed", type=int, default=0, help="seed for the random matrix")
+    p.add_argument("--seed", type=_count, default=0, help="seed for the random matrix")
     common(p)
     p.set_defaults(func=_cmd_demo)
 

@@ -76,7 +76,8 @@ def dilate(a_mat) -> BlockEncoding:
     of unitarity for contractions sitting exactly on the norm-1 boundary.
     """
     a = ensure_square(a_mat, name="matrix to encode")
-    norm = operator_norm(a)
+    left, sing, right_h = np.linalg.svd(a)
+    norm = float(sing[0])
     if norm > 1.0 + NORM_SLACK:
         raise NormBoundError(
             f"cannot dilate: ||A|| = {norm:.12g} > 1; divide by the norm first",
@@ -84,7 +85,6 @@ def dilate(a_mat) -> BlockEncoding:
             norm=norm,
         )
     d = a.shape[0]
-    left, sing, right_h = np.linalg.svd(a)
     complement = np.sqrt(1.0 - np.clip(sing, 0.0, 1.0) ** 2)
     top_right = (left * complement) @ left.conj().T
     bottom_left = (right_h.conj().T * complement) @ right_h
@@ -92,17 +92,27 @@ def dilate(a_mat) -> BlockEncoding:
     return BlockEncoding(unitary=u, ancilla_qubits=1, system_dim=d)
 
 
-def verify_encoding(be: BlockEncoding, a_mat, eps: float) -> bool:
-    """True iff the encoded block is within eps of a_mat in operator norm."""
+def _target(be: BlockEncoding, a_mat) -> np.ndarray:
+    """a_mat as a square matrix of the dimension that ``be`` encodes."""
     a = ensure_square(a_mat, name="target matrix")
     if a.shape[0] != be.system_dim:
         raise ValidationError(
             f"target dimension {a.shape[0]} != encoded system dimension {be.system_dim}",
             module=_MOD,
         )
-    if eps < 0:
-        raise ValidationError("tolerance must be nonnegative", module=_MOD)
+    return a
+
+
+def verify_encoding(be: BlockEncoding, a_mat, eps: float) -> bool:
+    """True iff the encoded block is within eps of a_mat in operator norm."""
+    a = _target(be, a_mat)
+    _check_tolerance(eps)
     return operator_norm(top_left_block(be) - a) <= eps
+
+
+def _check_tolerance(tol: float) -> None:
+    if not 0 <= tol < np.inf:  # False on NaN
+        raise ValidationError(f"tolerance must be nonnegative and finite, got {tol}", module=_MOD)
 
 
 def regularity_profile(be: BlockEncoding, a_mat, k_max: int) -> list[float]:
@@ -111,12 +121,7 @@ def regularity_profile(be: BlockEncoding, a_mat, k_max: int) -> list[float]:
     Only the d columns of U^k with the ancillas at zero are carried, one
     product U @ columns per power; U^k itself is never formed.
     """
-    a = ensure_square(a_mat, name="target matrix")
-    if a.shape[0] != be.system_dim:
-        raise ValidationError(
-            f"target dimension {a.shape[0]} != encoded system dimension {be.system_dim}",
-            module=_MOD,
-        )
+    a = _target(be, a_mat)
     if k_max < 1:
         raise ValidationError("k_max must be positive", module=_MOD)
     d = be.system_dim
@@ -136,8 +141,9 @@ def regularity_order(be: BlockEncoding, a_mat, tol: float, k_max: int) -> int:
     The k = 0 case (identity) always passes. The k = 1 case failing means the
     input is not a block-encoding of a_mat at this tolerance, which is an error.
     """
+    _check_tolerance(tol)
     errors = regularity_profile(be, a_mat, k_max)
-    if errors[0] > tol + REGULARITY_FLOOR:
+    if not errors[0] <= tol + REGULARITY_FLOOR:
         raise ValidationError(
             f"not a block-encoding at tolerance {tol:.3e}: k=1 error is {errors[0]:.3e}",
             module=_MOD,
@@ -149,7 +155,7 @@ def _order_from_profile(errors: list[float], tol: float) -> int:
     """Largest k with errors[j-1] <= j*tol + 1e-10 for all j <= k (0 if k = 1 fails)."""
     order = 0
     for k, err in enumerate(errors, start=1):
-        if err > k * tol + REGULARITY_FLOOR:
+        if not err <= k * tol + REGULARITY_FLOOR:  # True on NaN
             break
         order = k
     return order

@@ -19,7 +19,6 @@ transformed through their Jordan structure automatically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, log2
 
 import numpy as np
 
@@ -55,9 +54,7 @@ class TransformReport:
 
 def counter_order_for_degree(degree: int) -> int:
     """Smallest power of two >= degree (1 for degree <= 1)."""
-    if degree <= 1:
-        return 1
-    return 2 ** ceil(log2(degree))
+    return 1 if degree <= 1 else 1 << (degree - 1).bit_length()
 
 
 def assemble_circuit(seq: GqspSequence, reg: RegularizedEncoding) -> np.ndarray:
@@ -90,7 +87,7 @@ def perturbation_bound(degree: int, eps: float) -> float:
     """
     if degree < 0:
         raise ValidationError("degree must be nonnegative", module=_MOD)
-    if eps < 0:
+    if not eps >= 0:  # also True on NaN
         raise ValidationError("eps must be nonnegative", module=_MOD)
     n = degree
     return float(np.sqrt(n * (n + 1) * (2 * n + 1) / 6.0)) * eps

@@ -8,17 +8,16 @@ circle as the top-left entry of the product
 
 Synthesis runs in two stages: complete P to a pair (P, Q) with
 |P|^2 + |Q|^2 = 1 on the circle (a Fejer-Riesz factor of 1 - |P|^2), then
-strip one rotation per degree from the pair. The factor starts as the
-outer function (FFTs of log(1 - |P|^2) on a grid sized from the degree,
-damped near the margin so the grid resolves it) and is finished by
-Wilson's Newton iteration on its coefficients, the same real system for
-every degree (a monomial's constant factor included): dense solves at low
-degree, GMRES on FFT correlations above (inexact Newton, no matrix). Each
-layer is stripped by the SU(2) rotation of the pair's leading coefficients
-alone, on Python scalars and two vector updates: no orthogonalization, so
-rounding does not grow from layer to layer. P and Q on roots of unity, on
-grids that grow with the degree, are one FFT each; the sup-norm zooms from
-a degree-sized grid. Replacing diag(1, z) with the controlled unitary
+strip one rotation per degree from the pair. The factor is found by
+Wilson's Newton iteration on its coefficients, from Newton's closed-form
+first iterate from a constant: the same real system for every degree (a
+monomial's constant factor included), with dense solves at low degree and
+GMRES on FFT correlations above (inexact Newton, no matrix). Each layer is
+stripped by the SU(2) rotation of the pair's leading coefficients alone, on
+Python scalars and two vector updates: no orthogonalization, so rounding
+does not grow from layer to layer. P and Q on roots of unity, on grids that
+grow with the degree, are one FFT each; the sup-norm zooms from a
+degree-sized grid. Replacing diag(1, z) with the controlled unitary
 diag(I, U) lifts the scalar identity to a block-encoding of P(U) for
 unitary U. That circuit is applied, never formed: the d columns entering
 with the processing qubit at zero are carried through it, and only the
@@ -159,22 +158,14 @@ def complete(p) -> PolynomialSpec:
     root inside the open unit disk and a real positive leading coefficient,
     of degree m = n_eff, the bandwidth of 1 - |P|^2: n minus the index of
     the lowest nonzero coefficient of P, exactly. Its conjugate reversal o
-    is the outer factor, with every root outside the closed disk, and is
-    found in two steps:
-
-    - a start: FFTs on N = max(4096, 2^ceil(log2 min(16 (m + 1) /
-      sqrt(1 - sup|P|^2), 64 (m + 1)))) points take the Fourier series of
-      log(1 - rho^2 |P|^2) / 2, keep its analytic half, exponentiate and
-      transform back (the outer function). rho = 1 unless that would put
-      the minimum of the deficit below (4 (m + 1) / N)^2, where N stops
-      resolving it; then rho^2 = (1 - (4 (m + 1) / N)^2) / sup|P|^2;
-    - Wilson's Newton iteration on sum_j o_{j+k} conj(o_j) = c_k, the
-      Laurent coefficients of 1 - |P|^2 for k = 0..m, with Im o_0 = 0: each
-      step solves one real system in 2m + 1 unknowns (m = 0 for a monomial),
-      densely (LAPACK) for m < KRYLOV_MIN_ORDER, else by GMRES to relative
-      residual KRYLOV_FORCING, each product two FFTs. It keeps the start's
-      roots on their side of the circle, and it must bring every c_k within
-      4e-16 c_0 in at most NEWTON_STEPS steps, else ``NumericalError``.
+    is the outer factor, with every root outside the closed disk: Wilson's
+    Newton iteration (``_wilson_newton``) solves sum_j o_{j+k} conj(o_j) = c_k,
+    the Laurent coefficients of 1 - |P|^2 for k = 0..m, from c_{0..m} /
+    sqrt(c_0), its first iterate from the constant sqrt(c_0), whose real part
+    (c_0 + 1 - |P|^2) / (2 sqrt(c_0)) > 0 on the circle leaves no root in the
+    closed disk. Every c_k must be met within 4e-16 c_0 in NEWTON_STEPS
+    steps, else ``NumericalError``: 3-6 steps at sup |P| <= 0.9, 12-13 at the
+    margin.
 
     The result must satisfy |P|^2 + |Q|^2 = 1 within 1e-8 on max(4096,
     2^ceil(log2 4(n + 1))) circle points, at least twice its bandwidth 2n.
@@ -205,14 +196,8 @@ def _complete(p: PolynomialSpec, sup: float) -> PolynomialSpec:
     # the exact bandwidth: c_m = 0 for m > n - ord0, and c_{n - ord0} = -p_n conj(p_ord0),
     # with ord0 the index of the lowest nonzero coefficient
     n_eff = n - int(np.argmax(p.array != 0))
-    # log(1 - |P|^2) varies on the scale sqrt(1 - sup^2) / (n_eff + 1) in angle;
-    # past 64 (n_eff + 1) points the start is damped instead of the grid grown
-    rule = 16 * (n_eff + 1) / math.sqrt(1.0 - sup * sup)
-    grid = max(4096, 1 << math.ceil(math.log2(min(rule, 64 * (n_eff + 1)))))
-    limit = 1.0 - (4 * (n_eff + 1) / grid) ** 2
-    damping = limit / (sup * sup) if sup * sup > limit else 1.0
-    outer = _wilson_newton(_outer_start(p, n_eff, grid, damping), c[: n_eff + 1])
-    q = _real_positive_lead(np.conj(outer[::-1]))
+    outer = _wilson_newton(c[: n_eff + 1] / math.sqrt(c[0].real), c[: n_eff + 1])
+    q = PolynomialSpec(np.conj(outer[::-1]))
 
     # |P|^2 + |Q|^2 has bandwidth 2n: 4 (n + 1) points sample it at twice that
     check = max(4096, 1 << (4 * n + 3).bit_length())
@@ -226,30 +211,17 @@ def _complete(p: PolynomialSpec, sup: float) -> PolynomialSpec:
     return q
 
 
-def _outer_start(p: PolynomialSpec, n_eff: int, grid: int, damping: float) -> np.ndarray:
-    """Coefficients 0..n_eff of the outer function exp(H), Re H = log(1 - damping |P|^2) / 2.
-
-    FFTs on ``grid`` points: keep the analytic half of the Fourier series of
-    the log-modulus, exponentiate, transform back. An outer function has no
-    roots in the disk. A deficit that is not positive on the grid gives NaN
-    or infinite coefficients, which the Newton residual check rejects.
-    """
-    values = _on_circle(p.array, grid)
-    with np.errstate(all="ignore"):
-        log_outer = np.fft.rfft(0.5 * np.log1p(-damping * np.abs(values) ** 2)) / grid
-        log_outer[1:-1] *= 2.0  # the analytic half: positive frequencies carry their twins
-        return (np.fft.fft(np.exp(grid * np.fft.ifft(log_outer, grid))) / grid)[: n_eff + 1]
-
-
 def _wilson_newton(outer: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Newton's method for sum_j o_{j+k} conj(o_j) = target_k, k = 0..m, from ``outer``.
 
-    The step delta solves the linearization corr(delta, o)_k + corr(o, delta)_k
-    = target_k - sum_j o_{j+k} conj(o_j), k = 0..m, corr(a, b)_k = sum_j a_{j+k}
-    conj(b_j), with the gauge Im delta_0 = 0 (Im o_0 stays 0): a real system in
-    the 2m + 1 unknowns of ``_pack`` for both solvers (a monomial: m = 0).
-    Below KRYLOV_MIN_ORDER it is solved densely, in O(m^3) time and O(m^2)
-    memory; from there on by GMRES on FFT products (inexact Newton: Eisenstat &
+    From an outer start every iterate stays outer (Wilson, SIAM J. Numer.
+    Anal. 6, 1969). The step delta solves the linearization corr(delta, o)_k
+    + corr(o, delta)_k = target_k - sum_j o_{j+k} conj(o_j), k = 0..m,
+    corr(a, b)_k = sum_j a_{j+k} conj(b_j), with the gauge Im delta_0 = 0 (a
+    real o_0 stays real): a real system in the 2m + 1 unknowns of ``_pack``
+    (a monomial: m = 0). Below KRYLOV_MIN_ORDER it is solved densely, in
+    O(m^3) time and O(m^2) memory; from there on by GMRES to relative
+    residual KRYLOV_FORCING on FFT products (inexact Newton: Eisenstat &
     Walker 1996), in O(m log m) time per product and no matrix.
     """
     m = outer.size - 1
@@ -390,14 +362,6 @@ def _krylov_step(outer: np.ndarray, error: np.ndarray) -> tuple[np.ndarray, int]
     return _unpack(u), k
 
 
-def _real_positive_lead(coeffs: np.ndarray) -> PolynomialSpec:
-    """The polynomial times the unimodular factor that makes its leading coefficient positive."""
-    lead = coeffs[-1]
-    coeffs = coeffs * (np.conj(lead) / abs(lead))
-    coeffs[-1] = abs(lead)
-    return PolynomialSpec(coeffs)
-
-
 def synthesize(p) -> GqspSequence:
     """Rotation sequence whose scalar evaluation reproduces P on the circle.
 
@@ -462,7 +426,7 @@ def evaluate_scalar(seq: GqspSequence, z):
     Runs the circuit kernel with the signal z on one column per point.
     """
     zs = np.asarray(z, dtype=np.complex128)
-    if np.any(np.abs(zs) > 1.0 + 1e-12):
+    if not np.all(np.abs(zs) <= 1.0 + 1e-12):  # also True on NaN
         raise ValidationError("evaluation points must lie in the closed unit disk", module=_MOD)
     flat = np.atleast_1d(zs).ravel()
     values = _signal_block(seq, lambda v: flat * v, np.ones(flat.size)).reshape(np.shape(zs))

@@ -20,7 +20,10 @@ _MOD = "linalg"
 
 def as_matrix(values, *, name: str = "matrix") -> np.ndarray:
     """Coerce to a validated complex matrix (2-D, nonempty, finite)."""
-    arr = np.asarray(values, dtype=np.complex128)
+    try:
+        arr = np.asarray(values, dtype=np.complex128)
+    except OverflowError:  # Python integers beyond the float range
+        raise ValidationError(f"{name} contains NaN or Inf entries", module=_MOD) from None
     if arr.ndim != 2 or arr.size == 0:
         raise ValidationError(
             f"{name} must be a nonempty 2-D array, got shape {arr.shape}", module=_MOD
@@ -61,6 +64,8 @@ class PolynomialSpec:
             coeffs = [complex(c) for c in coefficients]
         except (TypeError, ValueError):  # strings, nested sequences, None
             raise ValidationError("polynomial coefficients must be numbers", module=_MOD) from None
+        except OverflowError:  # Python integers beyond the float range
+            raise ValidationError("polynomial coefficient is not finite", module=_MOD) from None
         if not coeffs:
             raise ValidationError("polynomial needs at least one coefficient", module=_MOD)
         for c in coeffs:

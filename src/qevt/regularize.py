@@ -18,6 +18,7 @@ Register order, most significant first: counter (C), original ancillas
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -42,12 +43,13 @@ class RegularizedEncoding:
     order: int
 
     def __post_init__(self):
-        if self.order < 1 or (self.order & (self.order - 1)) != 0:
-            raise ValidationError(f"order must be a power of two, got {self.order}", module=_MOD)
+        order = self.order
+        if not isinstance(order, numbers.Integral) or order < 1 or order & (order - 1):
+            raise ValidationError(f"order must be a power of two, got {order!r}", module=_MOD)
 
     @property
     def counter_qubits(self) -> int:
-        return self.order.bit_length() - 1
+        return int(self.order).bit_length() - 1  # also for numpy integers
 
     @property
     def source_ancillas(self) -> int:

@@ -61,6 +61,23 @@ def random_polynomial(
     return PolynomialSpec(coeffs * (sup / grid_sup(coeffs)))
 
 
+def outer_factor(coeffs, grid: int = 2**16) -> np.ndarray:
+    """Q for |P|^2 + |Q|^2 = 1 from the outer function, independent of Newton's method.
+
+    FFTs on ``grid`` points take the Fourier series of log(1 - |P|^2) / 2,
+    keep its analytic half, exponentiate and transform back: the outer factor
+    o, every root outside the closed disk and o_0 = exp(mean) > 0. Returns
+    Q = conj(o[::-1]) of the degree of P, whose constant coefficient must be
+    nonzero, and sup |P| < 1 well resolved by the grid.
+    """
+    p = np.asarray(coeffs, dtype=np.complex128)
+    values = grid * np.fft.ifft(p, grid)  # P at the grid-th roots of unity
+    log_outer = np.fft.rfft(0.5 * np.log1p(-np.abs(values) ** 2)) / grid
+    log_outer[1:-1] *= 2.0  # the analytic half: positive frequencies carry their twins
+    outer = np.fft.fft(np.exp(grid * np.fft.ifft(log_outer, grid))) / grid
+    return np.conj(outer[: p.size][::-1])
+
+
 def reference_strip(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Layer stripping on numpy 2-vectors, one layer at a time: the reference
     for the scalar loop in ``gqsp.synthesize`` (p, q of equal length n + 1).

@@ -267,6 +267,13 @@ class TestAssembleFromJordan:
         with pytest.raises(ValidationError, match=message):
             assemble_from_jordan(jf)
 
+    def test_rejects_nonpositive_block_size(self):
+        # the sizes sum to the dimension, yet the first block does not fit
+        jf = JordanForm(similarity=np.eye(2), blocks=((0.5, 3), (0.2, -1)))
+        with pytest.raises(ValidationError, match="positive integers") as info:
+            assemble_from_jordan(jf)
+        assert info.value.module == "analytic"
+
     def test_rejects_dimension_mismatch(self):
         jf = JordanForm(similarity=np.eye(3), blocks=((0.5, 2),))
         with pytest.raises(ValidationError):

@@ -326,7 +326,7 @@ class TestSynthesizeCommand:
         assert len(payload["rotations"]) == 3
 
     def test_completion_failure_exits_4(self, tmp_path, capsys, monkeypatch):
-        # the margin polynomial's damped start needs more than one Newton step
+        # the margin polynomial needs more than one Newton step from Wilson's start
         monkeypatch.setattr(gqsp, "NEWTON_STEPS", 1)
         poly = write_poly(tmp_path / "p.json", [0.5, 0, 0.5])
         assert cli.main(["synthesize", "--coeffs", poly]) == 4
@@ -412,8 +412,7 @@ class TestTransformCommand:
     def test_completion_failure_is_one_json_line(self, tmp_path):
         # a separate process, so that anything else written to stderr (such as
         # numpy warnings) shows up next to the error line; the child allows no
-        # Newton step, which the damped start of this margin polynomial of
-        # degree 170 needs
+        # Newton step, which this margin polynomial of degree 170 needs
         matrix = write_matrix(tmp_path / "a.json", random_contraction(rng_for(5), 3, 0.8))
         src = str(Path(__file__).resolve().parents[1] / "src")
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -525,6 +524,40 @@ class TestUnreadOptions:
         assert f"argument --tolerance: finite number expected, got '{value}'" in (
             capsys.readouterr().err
         )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["synthesize", "--coeffs", "p.json"],
+            ["transform", "a.json", "--exp"],
+            ["verify", "u.json", "a.json", "--ancillas", "1", "--order", "1"],
+            ["demo", "jordan"],
+        ],
+        ids=["synthesize", "transform", "verify", "demo"],
+    )
+    def test_negative_tolerance_is_usage_error(self, argv, capsys):
+        # no error is below a negative threshold: exit 1 whatever the result
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--tolerance=-1"])
+        assert exc.value.code == 2
+        assert "argument --tolerance: nonnegative number expected, got '-1'" in (
+            capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["demo", "jordan", "--seed=-1"], "--seed"),
+            (["verify", "u.json", "a.json", "--ancillas", "1", "--order=-5"], "--order"),
+        ],
+        ids=["seed", "order"],
+    )
+    def test_negative_count_is_usage_error(self, argv, option, capsys):
+        # a negative seed crashed numpy's generator; a negative order passed as 1
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert f"argument {option}: nonnegative number expected" in capsys.readouterr().err
 
 
 class TestVerifyCommand:

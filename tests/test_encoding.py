@@ -156,6 +156,13 @@ class TestVerifyEncoding:
         with pytest.raises(ValidationError, match="tolerance must be nonnegative"):
             verify_encoding(dilate(a), a, -1e-6)
 
+    def test_rejects_nan_tolerance(self):
+        # NaN compares false with every error: it must not read as a silent False
+        a = np.zeros((2, 2))
+        with pytest.raises(ValidationError, match="nonnegative and finite, got nan") as info:
+            verify_encoding(dilate(a), a, np.nan)
+        assert info.value.module == "encoding"
+
     def test_encoded_block_is_contraction(self):
         # any valid encoding satisfies ||encoded block|| <= 1
         rng = rng_for(7)
@@ -185,6 +192,17 @@ class TestRegularityOrder:
         a = random_contraction(rng_for(11), 3, 0.8)
         with pytest.raises(ValidationError, match="not a block-encoding"):
             regularity_order(dilate(a), a + 0.1 * np.eye(3), 1e-8, 4)
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-8], ids=["nan", "inf", "negative"])
+    def test_rejects_invalid_tolerance(self, tol):
+        # a plain dilation is only 1-regular: no tolerance may report it as 8-regular
+        a = random_contraction(rng_for(8), 3, 0.8)
+        with pytest.raises(ValidationError, match="nonnegative and finite") as info:
+            regularity_order(dilate(a), a, tol, 8)
+        assert info.value.module == "encoding"
+
+    def test_nan_error_ends_the_order(self):
+        assert encoding._order_from_profile([1e-12, np.nan, 1e-12], 1e-8) == 1
 
     def test_monotone_in_tolerance(self):
         a = random_contraction(rng_for(12), 3, 0.8)

@@ -188,6 +188,10 @@ class TestTransform:
         with pytest.raises(ValidationError):
             transform(np.ones((2, 3)), AVERAGING)
 
+    def test_integer_beyond_float_range_rejected(self):
+        with pytest.raises(ValidationError, match="NaN or Inf"):
+            transform([[10**400]], [1])
+
     def test_norm_above_one_is_absorbed_exactly(self):
         # coefficients soak up the matrix rescaling: the result is P(A) itself
         rng = rng_for(11)
@@ -215,3 +219,7 @@ class TestPerturbationBound:
     def test_rejects_negative_arguments(self, degree, eps, message):
         with pytest.raises(ValidationError, match=message):
             perturbation_bound(degree, eps)
+
+    def test_rejects_nan_eps(self):
+        with pytest.raises(ValidationError, match="eps must be nonnegative"):
+            perturbation_bound(3, np.nan)

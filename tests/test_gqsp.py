@@ -22,6 +22,7 @@ from helpers import (
     grid_sup,
     near_tie_coefficients,
     opnorm,
+    outer_factor,
     random_complex,
     random_polynomial,
     random_unitary,
@@ -166,32 +167,37 @@ class TestComplete:
         roots = np.polynomial.polynomial.polyroots(q.array) if q.degree else []
         assert np.all(np.abs(roots) < 1.0)
 
-    def test_damped_start_matches_undamped(self, monkeypatch):
-        # inside the margin the outer function on the default grid needs no
-        # damping; Newton must reach the same factor from the outer function
-        # of 1 - |P|^2 / 2 on 256 points
+    def test_matches_outer_function_reference(self):
+        # Newton from Wilson's start must reach the outer function's factor,
+        # computed independently by FFTs of log(1 - |P|^2)
         rng = rng_for(16)
-        polys = [random_polynomial(rng, degree, sup=0.9) for degree in (3, 17, 40)]
-        undamped = [complete(p) for p in polys]
-        original = gqsp._outer_start
-        monkeypatch.setattr(
-            gqsp, "_outer_start", lambda p, n_eff, grid, damping: original(p, n_eff, 256, 0.5)
-        )
-        for p, q in zip(polys, undamped):
-            assert np.max(np.abs(complete(p).array - q.array)) <= 1e-11
+        for degree in (3, 17, 40):
+            p = random_polynomial(rng, degree, sup=0.9)
+            assert np.max(np.abs(complete(p).array - outer_factor(p.array))) <= 1e-11
 
     def test_newton_nonconvergence_is_numerical_error(self, monkeypatch):
-        # a margin polynomial needs a damped start and several Newton steps
+        # a margin polynomial needs several Newton steps
         p = random_polynomial(rng_for(18), 8, sup=1.0 - gqsp.SUP_MARGIN)
         monkeypatch.setattr(gqsp, "NEWTON_STEPS", 1)
         with pytest.raises(NumericalError, match="did not converge.*after 1 Newton steps") as info:
             complete(p)
         assert info.value.module == "gqsp"
 
+    def test_margin_completions_within_step_budget(self, monkeypatch):
+        # Wilson's start reaches margin inputs in 12-13 Newton steps at every
+        # degree tried, up to 12330: half the budget must do
+        monkeypatch.setattr(gqsp, "NEWTON_STEPS", 15)
+        plans = ((1.05, 1e-6), (1.01, 1e-8))
+        polys = [shifted_inverse_plan(c, eps).coefficients for c, eps in plans]
+        polys.append(random_polynomial(rng_for(18), 8, sup=1.0 - gqsp.SUP_MARGIN))
+        for p in polys:
+            seq = synthesize(p)
+            assert seq.degree == p.degree
+
     @pytest.mark.parametrize("degree", [8, 40, 97])
     def test_krylov_and_dense_steps_agree(self, monkeypatch, degree):
-        # margin polynomials: a damped start and several Newton steps on each
-        # path; the crossover is moved to force one, the other step is disabled
+        # margin polynomials: several Newton steps on each path; the crossover
+        # is moved to force one, the other step is disabled
         margin = 1.0 - gqsp.SUP_MARGIN
         p = random_polynomial(rng_for(20 + degree), degree)
         p = p.scaled(margin / sup_norm_on_circle(p))
@@ -235,22 +241,18 @@ class TestComplete:
         ):
             synthesize(p)
 
-    def test_nan_start_is_numerical_error(self, monkeypatch):
+    def test_nan_start_is_numerical_error(self):
         # NaN compares false with every tolerance: it must fail, not pass
-        p = random_polynomial(rng_for(18), 8, sup=0.9)
-        monkeypatch.setattr(
-            gqsp, "_outer_start", lambda p, n_eff, *args: np.full(n_eff + 1, np.nan + 0j)
-        )
+        target = np.r_[1.0, np.zeros(8)] + 0j
         with pytest.raises(NumericalError, match="coefficient residual nan"):
-            complete(p)
+            gqsp._wilson_newton(np.full(9, np.nan + 0j), target)
 
     def test_residual_checked_between_4096_points(self, monkeypatch):
         # |P|^2 + |Q|^2 - 1 = 0.18 sin(2048 t) for this wrong Q: zero on the
-        # 4096th roots of unity, 0.18 between them; Newton is bypassed
+        # 4096th roots of unity, 0.18 between them; Newton returns it
         p = PolynomialSpec(np.r_[0.3, np.zeros(2047), 0.3j])
         wrong = np.r_[np.sqrt(0.82), np.zeros(2048)]  # Q = sqrt(0.82) z^2048
-        monkeypatch.setattr(gqsp, "_outer_start", lambda *args: wrong)
-        monkeypatch.setattr(gqsp, "_wilson_newton", lambda outer, target: outer)
+        monkeypatch.setattr(gqsp, "_wilson_newton", lambda outer, target: wrong)
         with pytest.raises(NumericalError, match="residual 1.800e-01"):
             complete(p)
 
@@ -334,7 +336,7 @@ class TestSynthesize:
     def test_draws_that_failed_the_residual_check(self):
         # inputs on which Q rebuilt by polyfromroots missed the 1e-8 residual
         # check: random draws at sup 0.9 and 1/(1.05 - z) at eps 1e-6 (degree
-        # 345, rescaled to the margin: a damped start)
+        # 345, rescaled to the margin)
         pts = circle_grid(4096)
         polys = [
             random_polynomial(rng_for(seed), degree, sup=0.9)
@@ -466,6 +468,11 @@ class TestEvaluateScalar:
         seq = synthesize(PolynomialSpec([0.5]))
         with pytest.raises(ValidationError):
             evaluate_scalar(seq, 1.5)
+
+    def test_nan_point_rejected(self):
+        seq = synthesize(PolynomialSpec([0.5]))
+        with pytest.raises(ValidationError, match="closed unit disk"):
+            evaluate_scalar(seq, np.nan)
 
     def test_grid_matches_coefficient_evaluation(self):
         p = random_polynomial(rng_for(7), 8, sup=0.9)

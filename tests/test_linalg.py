@@ -28,6 +28,11 @@ class TestOperatorNorm:
         with pytest.raises(ValidationError):
             operator_norm(bad)
 
+    def test_integer_beyond_float_range_rejected(self):
+        with pytest.raises(ValidationError, match="NaN or Inf") as info:
+            as_matrix([[10**400]])
+        assert info.value.module == "linalg"
+
     @pytest.mark.parametrize("shape", [(3,), (0, 0)], ids=["vector", "empty"])
     def test_rejects_non_matrix(self, shape):
         with pytest.raises(ValidationError, match=r"nonempty 2-D array, got shape") as info:
@@ -81,6 +86,11 @@ class TestPolynomialSpec:
     def test_non_finite_coefficient_rejected(self, coefficient):
         with pytest.raises(ValidationError, match="polynomial coefficient is not finite"):
             PolynomialSpec([0.5, coefficient])
+
+    def test_integer_beyond_float_range_rejected(self):
+        with pytest.raises(ValidationError, match="not finite") as info:
+            PolynomialSpec([0.5, 10**400])
+        assert info.value.module == "linalg"
 
     def test_derivative(self):
         p = PolynomialSpec([3.0, 2.0, 1.0])  # 3 + 2z + z^2

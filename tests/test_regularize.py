@@ -124,6 +124,18 @@ class TestRegularize:
         with pytest.raises(ValidationError):
             regularize(be, 3)
 
+    @pytest.mark.parametrize("order", [2.0, "4"], ids=["float", "string"])
+    def test_rejects_non_integer_order(self, order):
+        be = dilate(np.zeros((2, 2)))
+        with pytest.raises(ValidationError, match="power of two") as info:
+            regularize(be, order)
+        assert info.value.module == "regularize"
+
+    def test_numpy_integer_order(self):
+        reg = regularize(dilate(np.zeros((2, 2))), np.int64(4))
+        assert reg.counter_qubits == 2
+        assert reg.base.ancilla_qubits == 3
+
 
 class TestApply:
     def test_matches_dense_unitary(self):
