@@ -10,14 +10,12 @@ decomposition of arbitrary input is attempted (that problem is ill-posed).
 
 from __future__ import annotations
 
-import cmath
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, as_complex, as_count, as_real
 from .linalg import PolynomialSpec, as_matrix, as_polynomial, ensure_square, operator_norm
 
 _MOD = "analytic"
@@ -44,7 +42,7 @@ class JordanForm:
 
 def disk_samples(count: int) -> np.ndarray:
     """Deterministic, well-spread points of the closed unit disk (sunflower layout)."""
-    k = np.arange(1, count + 1)
+    k = np.arange(1, as_count(count, "sample count", _MOD) + 1)
     radius = np.sqrt(k / count)
     golden_angle = np.pi * (3.0 - np.sqrt(5.0))
     return radius * np.exp(1j * golden_angle * k)
@@ -59,26 +57,15 @@ def _check_on_disk(plan_values, target_values, bound: float, what: str) -> None:
         )
 
 
-def _check_eps(eps: float) -> None:
-    if not 0 < eps < math.inf:  # also False on NaN
-        raise ValidationError(f"eps must be positive and finite, got {eps}", module=_MOD)
-
-
 def shifted_inverse_plan(c: complex, eps: float) -> TruncationPlan:
     """Geometric-series truncation of 1/(c - z) for a pole outside the disk.
 
     Coefficients are 1/c^{k+1}; the order N = ceil(log_|c|(1/(eta eps)))
     with eta = |c| - 1 makes the geometric tail at most eps on the disk.
     """
-    c = complex(c)
-    _check_eps(eps)
-    if not cmath.isfinite(c):
-        raise ValidationError(f"the pole c = {c} must be finite", module=_MOD)
-    mod = abs(c)
-    if mod <= 1.0:
-        raise ValidationError(
-            f"|c| = {mod:.6g} <= 1: the pole lies in the closed disk", module=_MOD
-        )
+    c = as_complex(c, "the pole c", _MOD)
+    eps = as_real(eps, "eps", _MOD, above=0)
+    mod = as_real(abs(c), "the pole's modulus |c|", _MOD, above=1)  # outside the closed disk
     eta = mod - 1.0
     n = max(0, math.ceil(math.log(1.0 / (eta * eps), mod)))
     coeffs = [1.0 / c ** (k + 1) for k in range(n + 1)]
@@ -96,7 +83,7 @@ def exp_plan(eps: float) -> TruncationPlan:
     consecutive tail terms is at most 1/2, so the geometric majorant is
     valid for every N >= 0.
     """
-    _check_eps(eps)
+    eps = as_real(eps, "eps", _MOD, above=0)
     n = 0
     while 2.0 / math.factorial(n + 1) > eps:
         n += 1
@@ -116,31 +103,30 @@ def taylor_truncation_order(r: float, m: float, eps: float) -> int:
     to N = ceil(log_r(m / ((r-1) eps))) leaves a tail of at most eps on the
     closed unit disk.
     """
-    if not 1.0 < r < math.inf:  # also False on NaN
-        raise ValidationError(f"radius must exceed 1 and be finite, got {r}", module=_MOD)
-    if not (0 < m < math.inf and 0 < eps < math.inf):
-        raise ValidationError("bound and eps must be positive and finite", module=_MOD)
+    r = as_real(r, "radius", _MOD, above=1)
+    m = as_real(m, "bound", _MOD, above=0)
+    eps = as_real(eps, "eps", _MOD, above=0)
     return max(0, math.ceil(math.log(m / ((r - 1.0) * eps), r)))
 
 
 def jordan_block(eigenvalue: complex, size: int) -> np.ndarray:
     """size x size block: the eigenvalue on the diagonal, ones on the superdiagonal."""
-    if size < 1:
-        raise ValidationError("block size must be positive", module=_MOD)
-    block = np.eye(size, dtype=np.complex128) * complex(eigenvalue)
+    eigenvalue = as_complex(eigenvalue, "eigenvalue", _MOD)
+    size = as_count(size, "block size", _MOD, least=1)
+    block = np.eye(size, dtype=np.complex128) * eigenvalue
     block += np.diag(np.ones(size - 1), 1)
     return block
 
 
 def jordan_poly(p, eigenvalue: complex, size: int) -> np.ndarray:
     """P applied to a Jordan block: upper-triangular Toeplitz of P^(k)(lambda)/k!."""
-    if size < 1:
-        raise ValidationError("block size must be positive", module=_MOD)
+    eigenvalue = as_complex(eigenvalue, "eigenvalue", _MOD)
+    size = as_count(size, "block size", _MOD, least=1)
     p = as_polynomial(p)
     out = np.zeros((size, size), dtype=np.complex128)
     deriv = p
     for k in range(size):
-        value = complex(deriv(complex(eigenvalue))) / math.factorial(k)
+        value = complex(deriv(eigenvalue)) / math.factorial(k)
         np.fill_diagonal(out[:, k:], value)  # the k-th superdiagonal
         deriv = deriv.derivative()
     return out
@@ -149,14 +135,14 @@ def jordan_poly(p, eigenvalue: complex, size: int) -> np.ndarray:
 def assemble_from_jordan(jf: JordanForm) -> np.ndarray:
     """Reconstruct A = S . blockdiag(J_i) . S^{-1} from a prescribed Jordan form."""
     s = ensure_square(as_matrix(jf.similarity, name="similarity"), name="similarity")
-    if not jf.blocks:
+    try:
+        pairs = [(eigenvalue, size) for eigenvalue, size in jf.blocks]
+    except (TypeError, ValueError):  # not an iterable of pairs
+        raise ValidationError("blocks must be (eigenvalue, size) pairs", module=_MOD) from None
+    if not pairs:
         raise ValidationError("at least one Jordan block is required", module=_MOD)
-    sizes = [size for _, size in jf.blocks]
-    if not all(isinstance(size, numbers.Integral) and size >= 1 for size in sizes):
-        raise ValidationError(
-            f"Jordan block sizes must be positive integers, got {sizes}", module=_MOD
-        )
-    total = sum(sizes)
+    # eigenvalues are checked by jordan_block below
+    total = sum(as_count(size, "block size", _MOD, least=1) for _, size in pairs)
     if total != s.shape[0]:
         raise ValidationError(
             f"blocks cover dimension {total} but similarity is {s.shape[0]} x {s.shape[0]}",
@@ -174,7 +160,7 @@ def assemble_from_jordan(jf: JordanForm) -> np.ndarray:
         )
     j = np.zeros((total, total), dtype=np.complex128)
     offset = 0
-    for eigenvalue, size in jf.blocks:
+    for eigenvalue, size in pairs:
         j[offset : offset + size, offset : offset + size] = jordan_block(eigenvalue, size)
         offset += size
     return s @ j @ s_inv

@@ -143,17 +143,11 @@ def load_encoding(path: str) -> encoding.BlockEncoding:
     for key in ("ancillas", "system_dim"):
         if key not in payload:
             raise ValidationError(f"{path}: missing field '{key}'", module=_MOD)
+        if type(payload[key]) is not int:  # exact type, as for rows/cols: bool is rejected
+            raise ValidationError(f"{path}: ancillas/system_dim must be integers", module=_MOD)
     matrix = _matrix_from_payload(payload, path)
     try:
-        ancillas, system_dim = int(payload["ancillas"]), int(payload["system_dim"])
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(
-            f"{path}: ancillas/system_dim must be integers", module=_MOD
-        ) from None
-    try:
-        return encoding.BlockEncoding(
-            unitary=matrix, ancilla_qubits=ancillas, system_dim=system_dim
-        )
+        return encoding.BlockEncoding(matrix, payload["ancillas"], payload["system_dim"])
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}", module=_MOD) from None
 

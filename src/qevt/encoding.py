@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NormBoundError, ValidationError
+from .errors import NormBoundError, ValidationError, as_count, as_real
 from .linalg import ensure_square, operator_norm
 
 _MOD = "encoding"
@@ -31,17 +31,12 @@ class BlockEncoding:
 
     def __post_init__(self):
         u = ensure_square(self.unitary, name="encoding unitary")
-        if self.ancilla_qubits < 0:
-            raise ValidationError("ancilla count must be nonnegative", module=_MOD)
-        if self.system_dim < 1:
-            raise ValidationError("system dimension must be positive", module=_MOD)
-        dim, a = u.shape[0], self.ancilla_qubits
+        a = as_count(self.ancilla_qubits, "ancilla count", _MOD)
+        d = as_count(self.system_dim, "system dimension", _MOD, least=1)
         # 2^a > dim cannot match; rejecting that first never builds a power of
         # two with thousands of digits, nor formats one into a message
-        if a >= dim.bit_length() or 2**a * self.system_dim != dim:
-            raise ValidationError(
-                f"unitary dimension {dim} != 2^{a} * {self.system_dim}", module=_MOD
-            )
+        if a >= len(u).bit_length() or 2**a * d != len(u):
+            raise ValidationError(f"unitary dimension {len(u)} != 2^{a} * {d}", module=_MOD)
         # ||E|| <= ||E||_F, so a small Frobenius norm accepts without the
         # eigensolve; otherwise (a NaN norm included, from an overflowing
         # product) the exact operator norm decides
@@ -106,13 +101,7 @@ def _target(be: BlockEncoding, a_mat) -> np.ndarray:
 def verify_encoding(be: BlockEncoding, a_mat, eps: float) -> bool:
     """True iff the encoded block is within eps of a_mat in operator norm."""
     a = _target(be, a_mat)
-    _check_tolerance(eps)
-    return operator_norm(top_left_block(be) - a) <= eps
-
-
-def _check_tolerance(tol: float) -> None:
-    if not 0 <= tol < np.inf:  # False on NaN
-        raise ValidationError(f"tolerance must be nonnegative and finite, got {tol}", module=_MOD)
+    return operator_norm(top_left_block(be) - a) <= as_real(eps, "tolerance", _MOD)
 
 
 def regularity_profile(be: BlockEncoding, a_mat, k_max: int) -> list[float]:
@@ -122,13 +111,11 @@ def regularity_profile(be: BlockEncoding, a_mat, k_max: int) -> list[float]:
     product U @ columns per power; U^k itself is never formed.
     """
     a = _target(be, a_mat)
-    if k_max < 1:
-        raise ValidationError("k_max must be positive", module=_MOD)
     d = be.system_dim
     columns = np.eye(be.dim, d, dtype=np.complex128)
     a_power = np.eye(d, dtype=np.complex128)
     errors = []
-    for _ in range(k_max):
+    for _ in range(as_count(k_max, "k_max", _MOD, least=1)):
         columns = be.unitary @ columns
         a_power = a_power @ a
         errors.append(operator_norm(columns[:d] - a_power))
@@ -141,7 +128,7 @@ def regularity_order(be: BlockEncoding, a_mat, tol: float, k_max: int) -> int:
     The k = 0 case (identity) always passes. The k = 1 case failing means the
     input is not a block-encoding of a_mat at this tolerance, which is an error.
     """
-    _check_tolerance(tol)
+    tol = as_real(tol, "tolerance", _MOD)
     errors = regularity_profile(be, a_mat, k_max)
     if not errors[0] <= tol + REGULARITY_FLOOR:
         raise ValidationError(

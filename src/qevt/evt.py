@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoding import dilate, top_left_block
-from .errors import ValidationError
+from .errors import NormBoundError, ValidationError, as_count, as_real
 from .gqsp import GqspSequence, _grid_residual, _signal_block, synthesize
 from .linalg import PolynomialSpec, as_polynomial, ensure_square, horner_eval, operator_norm
 from .regularize import RegularizedEncoding, regularize
@@ -39,7 +39,9 @@ class TransformReport:
     assembled unitary block-encodes encoding_scale * P(A), and
     ``result_block`` has already been divided by it. Rescaling of the
     matrix itself is absorbed exactly into the synthesized coefficients
-    and leaves no residual factor.
+    and leaves no residual factor. ``predicted_bound`` is an estimate, not a
+    bound: the perturbation term (0 for the built-in dilation) plus the
+    synthesis residual sampled on the 1024th roots of unity.
     """
 
     result_block: np.ndarray
@@ -54,7 +56,7 @@ class TransformReport:
 
 def counter_order_for_degree(degree: int) -> int:
     """Smallest power of two >= degree (1 for degree <= 1)."""
-    return 1 if degree <= 1 else 1 << (degree - 1).bit_length()
+    return 1 << max(as_count(degree, "degree", _MOD) - 1, 0).bit_length()
 
 
 def assemble_circuit(seq: GqspSequence, reg: RegularizedEncoding) -> np.ndarray:
@@ -85,12 +87,8 @@ def perturbation_bound(degree: int, eps: float) -> float:
     Follows from ||(A+E)^k - A^k|| <= k ||E|| for contractions together with
     Parseval (sum |a_k|^2 <= 1) and Cauchy-Schwarz over the coefficients.
     """
-    if degree < 0:
-        raise ValidationError("degree must be nonnegative", module=_MOD)
-    if not eps >= 0:  # also True on NaN
-        raise ValidationError("eps must be nonnegative", module=_MOD)
-    n = degree
-    return float(np.sqrt(n * (n + 1) * (2 * n + 1) / 6.0)) * eps
+    n = as_count(degree, "degree", _MOD)
+    return float(np.sqrt(n * (n + 1) * (2 * n + 1) / 6.0)) * as_real(eps, "eps", _MOD)
 
 
 def transform(a_mat, p) -> TransformReport:
@@ -99,9 +97,8 @@ def transform(a_mat, p) -> TransformReport:
     Builds dilation -> counter regularization at order 2^ceil(log2 deg) ->
     rotation synthesis -> the circuit's encoded block (assemble_circuit), and
     reports the achieved operator-norm error against horner_eval(p, a_mat)
-    plus an a-priori bound (perturbation bound at the measured encoding
-    error, plus the synthesis residual measured on the 1024th roots of
-    unity).
+    with the sampled estimate ``predicted_bound`` (see TransformReport). A
+    norm alpha > 1 for which P(alpha z) overflows is a NormBoundError.
     """
     a = ensure_square(a_mat, name="matrix")
     p = as_polynomial(p)
@@ -109,9 +106,11 @@ def transform(a_mat, p) -> TransformReport:
     alpha = operator_norm(a)
     if alpha > 1.0 + 1e-12:
         a_enc = a / alpha
-        p_enc = PolynomialSpec(
-            [c * alpha**k for k, c in enumerate(p.coefficients)]
-        )  # P(alpha z) so that P_enc(A/alpha) == P(A) exactly
+        try:  # P(alpha z) so that P_enc(A/alpha) == P(A) exactly
+            p_enc = PolynomialSpec([c * alpha**k for k, c in enumerate(p.coefficients)])
+        except (OverflowError, ValidationError):  # alpha^k, or a coefficient, is not finite
+            message = f"P(alpha z) overflows for ||A|| = {alpha:.12g} at degree {p.degree}"
+            raise NormBoundError(message, module=_MOD, norm=alpha) from None
     else:
         a_enc = a
         p_enc = p

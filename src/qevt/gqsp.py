@@ -32,8 +32,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NormBoundError, NumericalError, ValidationError
-from .linalg import PolynomialSpec, as_polynomial, ensure_square, operator_norm
+from .encoding import BlockEncoding
+from .errors import NormBoundError, NumericalError, ValidationError, is_number
+from .linalg import PolynomialSpec, as_polynomial, ensure_square
 
 _MOD = "gqsp"
 
@@ -60,7 +61,7 @@ class GqspSequence:
     def __post_init__(self):
         if not self.rotations:
             raise ValidationError("a sequence needs at least one rotation", module=_MOD)
-        if not isinstance(self.scale, numbers.Real) or not 0 < self.scale <= 1.0 + 1e-12:
+        if not is_number(self.scale, numbers.Real) or not 0 < self.scale <= 1.0 + 1e-12:
             raise ValidationError(f"invalid subnormalization scale {self.scale}", module=_MOD)
         for k, rot in enumerate(self.rotations):
             try:
@@ -425,7 +426,10 @@ def evaluate_scalar(seq: GqspSequence, z):
 
     Runs the circuit kernel with the signal z on one column per point.
     """
-    zs = np.asarray(z, dtype=np.complex128)
+    try:
+        zs = np.asarray(z, dtype=np.complex128)
+    except (TypeError, ValueError, OverflowError):  # text, None, integers beyond the float range
+        raise ValidationError("evaluation points must be numbers", module=_MOD) from None
     if not np.all(np.abs(zs) <= 1.0 + 1e-12):  # also True on NaN
         raise ValidationError("evaluation points must lie in the closed unit disk", module=_MOD)
     flat = np.atleast_1d(zs).ravel()
@@ -457,10 +461,7 @@ def apply_to_operator(seq: GqspSequence, u) -> np.ndarray:
     """Top-left d x d block of (R_0 x I) C(U) (R_1 x I) ... C(U) (R_n x I).
 
     C(U) = diag(I, U) with the processing qubit most significant; the block
-    is the realized polynomial applied to the unitary U.
+    is the realized polynomial applied to the unitary U, checked as a BlockEncoding.
     """
-    u = ensure_square(u, name="signal unitary")
-    defect = operator_norm(u.conj().T @ u - np.eye(u.shape[0]))
-    if defect > 1e-9:
-        raise ValidationError(f"signal operator is not unitary: defect {defect:.3e}", module=_MOD)
+    u = BlockEncoding(ensure_square(u, name="signal unitary"), 0, len(u)).unitary
     return _signal_block(seq, lambda v: u @ v, np.eye(u.shape[0], dtype=np.complex128))

@@ -68,9 +68,8 @@ class PolynomialSpec:
             raise ValidationError("polynomial coefficient is not finite", module=_MOD) from None
         if not coeffs:
             raise ValidationError("polynomial needs at least one coefficient", module=_MOD)
-        for c in coeffs:
-            if not (np.isfinite(c.real) and np.isfinite(c.imag)):
-                raise ValidationError("polynomial coefficient is not finite", module=_MOD)
+        if not np.all(np.isfinite(coeffs)):
+            raise ValidationError("polynomial coefficient is not finite", module=_MOD)
         while len(coeffs) > 1 and coeffs[-1] == 0:
             coeffs.pop()
         object.__setattr__(self, "coefficients", tuple(coeffs))

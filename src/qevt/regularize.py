@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .encoding import BlockEncoding
-from .errors import ValidationError
+from .errors import ValidationError, is_number
 
 _MOD = "regularize"
 
@@ -44,7 +44,7 @@ class RegularizedEncoding:
 
     def __post_init__(self):
         order = self.order
-        if not isinstance(order, numbers.Integral) or order < 1 or order & (order - 1):
+        if not is_number(order, numbers.Integral) or order < 1 or order & (order - 1):
             raise ValidationError(f"order must be a power of two, got {order!r}", module=_MOD)
 
     @property

@@ -130,10 +130,10 @@ class TestTaylorTruncationOrder:
         [
             (math.nan, 1.0, 1e-3, "radius must exceed 1 and be finite, got nan"),
             (math.inf, 1.0, 1e-3, "radius must exceed 1 and be finite, got inf"),
-            (2.0, math.nan, 1e-3, "bound and eps must be positive and finite"),
-            (2.0, math.inf, 1e-3, "bound and eps must be positive and finite"),
-            (2.0, 1.0, math.nan, "bound and eps must be positive and finite"),
-            (2.0, 1.0, math.inf, "bound and eps must be positive and finite"),
+            (2.0, math.nan, 1e-3, "bound must be positive and finite, got nan"),
+            (2.0, math.inf, 1e-3, "bound must be positive and finite, got inf"),
+            (2.0, 1.0, math.nan, "eps must be positive and finite, got nan"),
+            (2.0, 1.0, math.inf, "eps must be positive and finite, got inf"),
         ],
         ids=["r-nan", "r-inf", "m-nan", "m-inf", "eps-nan", "eps-inf"],
     )
@@ -270,7 +270,7 @@ class TestAssembleFromJordan:
     def test_rejects_nonpositive_block_size(self):
         # the sizes sum to the dimension, yet the first block does not fit
         jf = JordanForm(similarity=np.eye(2), blocks=((0.5, 3), (0.2, -1)))
-        with pytest.raises(ValidationError, match="positive integers") as info:
+        with pytest.raises(ValidationError, match="block size must be positive") as info:
             assemble_from_jordan(jf)
         assert info.value.module == "analytic"
 

@@ -173,6 +173,19 @@ class TestMalformedInputs:
             ("regularize", json.dumps({"ancillas": "x", "system_dim": 1, "rows": 2, "cols": 2,
                                        "data": ONE_UNITARY}),
              "ancillas/system_dim must be integers"),
+            # JSON integer fields take JSON integers only, as rows/cols do
+            ("regularize", json.dumps({"ancillas": 1.5, "system_dim": 1, "rows": 2, "cols": 2,
+                                       "data": ONE_UNITARY}),
+             "ancillas/system_dim must be integers"),
+            ("regularize", json.dumps({"ancillas": True, "system_dim": 1, "rows": 2, "cols": 2,
+                                       "data": ONE_UNITARY}),
+             "ancillas/system_dim must be integers"),
+            ("regularize", json.dumps({"ancillas": "1", "system_dim": 1, "rows": 2, "cols": 2,
+                                       "data": ONE_UNITARY}),
+             "ancillas/system_dim must be integers"),
+            ("regularize", json.dumps({"ancillas": 1, "system_dim": 1.0, "rows": 2, "cols": 2,
+                                       "data": ONE_UNITARY}),
+             "ancillas/system_dim must be integers"),
             ("regularize", json.dumps({"ancillas": 20000, "system_dim": 1, "rows": 2, "cols": 2,
                                        "data": ONE_UNITARY}),
              "unitary dimension 2 != 2^20000 * 1"),
@@ -186,6 +199,7 @@ class TestMalformedInputs:
             ("dilate", "[[0, 0]]", "top-level JSON object expected"),
         ],
         ids=["data-int", "coefficients-int", "huge-int", "rows-true", "ancillas-string",
+             "ancillas-float", "ancillas-true", "ancillas-digit-string", "system-dim-float",
              "ancillas-huge", "data-length", "missing-rows", "missing-ancillas",
              "missing-coefficients", "top-level-list"],
     )
@@ -346,6 +360,19 @@ class TestSynthesizeCommand:
 
 
 class TestTransformCommand:
+    def test_rescaling_overflow_exits_3(self, tmp_path, capsys):
+        # ||A|| = 1.5 at degree 2315: 1.5^2315 is beyond the float range
+        matrix = write_matrix(tmp_path / "a.json", 1.5 * random_unitary(rng_for(12), 3))
+        assert cli.main(["transform", matrix, "--inverse", "1.01", "--eps", "1e-8"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["module"] == "evt" and error["exit"] == 3
+        assert error["error"].startswith("P(alpha z) overflows for ||A|| = 1.5")
+        assert error["error"].endswith("at degree 2315")
+
     def test_exp_of_identity(self, tmp_path, capsys):
         matrix = write_matrix(tmp_path / "a.json", np.eye(2))
         code = cli.main(["transform", matrix, "--exp", "--eps", "1e-8"])

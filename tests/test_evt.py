@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from qevt.analytic import JordanForm, assemble_from_jordan
+from qevt.analytic import JordanForm, assemble_from_jordan, shifted_inverse_plan
 from qevt.encoding import BlockEncoding, dilate, top_left_block
-from qevt.errors import ValidationError
+from qevt.errors import NormBoundError, ValidationError
 from qevt.evt import (
     assemble_circuit,
     counter_order_for_degree,
@@ -199,6 +199,25 @@ class TestTransform:
         p = random_polynomial(rng, 4, sup=0.9)
         report = transform(a, p)
         assert opnorm(report.result_block - horner_eval(p, a)) <= 1e-8
+
+
+    @pytest.mark.parametrize(
+        "p, degree",
+        [
+            # 1.5^2315 is beyond the float range
+            (shifted_inverse_plan(1.01, 1e-8).coefficients, 2315),
+            # 1.5^1700 ~ 1e299 is finite, times the coefficient 1e10 it is not
+            (PolynomialSpec([0.0] * 1700 + [1e10]), 1700),
+        ],
+        ids=["power", "product"],
+    )
+    def test_rescaling_overflow_is_a_norm_error(self, p, degree):
+        a = 1.5 * random_unitary(rng_for(12), 3)
+        with pytest.raises(NormBoundError) as info:
+            transform(a, p)
+        assert str(info.value) == f"P(alpha z) overflows for ||A|| = 1.5 at degree {degree}"
+        assert info.value.module == "evt"
+        assert info.value.norm == pytest.approx(1.5, rel=1e-12)
 
 
 class TestPerturbationBound:
