@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError, as_complex, as_count, as_real
-from .linalg import PolynomialSpec, as_matrix, as_polynomial, ensure_square, operator_norm
+from .linalg import PolynomialSpec, as_polynomial, ensure_square, operator_norm
 
 _MOD = "analytic"
 
@@ -134,7 +134,7 @@ def jordan_poly(p, eigenvalue: complex, size: int) -> np.ndarray:
 
 def assemble_from_jordan(jf: JordanForm) -> np.ndarray:
     """Reconstruct A = S . blockdiag(J_i) . S^{-1} from a prescribed Jordan form."""
-    s = ensure_square(as_matrix(jf.similarity, name="similarity"), name="similarity")
+    s = ensure_square(jf.similarity, name="similarity")
     try:
         pairs = [(eigenvalue, size) for eigenvalue, size in jf.blocks]
     except (TypeError, ValueError):  # not an iterable of pairs

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the one check per kind of scalar input.
+"""Exception types shared across the package, and the one check per kind of input.
 
 Every error carries the short name of the module that raised it, so the
 command-line layer can map failures to exit codes and name the origin in
@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import cmath
 import numbers
+
+import numpy as np
 
 
 class QevtError(Exception):
@@ -45,12 +47,21 @@ def is_number(value, kind, *, finite: bool = False) -> bool:
         return False
 
 
+def _shown(value) -> str:
+    """repr(value), or an integer too long for repr by its sign and bit length."""
+    try:
+        return repr(value)
+    except ValueError:  # an integer past Python's integer-to-string digit limit
+        return f"a {'negative ' if value < 0 else ''}{value.bit_length()}-bit integer"
+
+
 def as_count(value, name: str, module: str, *, least: int = 0) -> int:
     """A Python or numpy integer, not a bool, at least ``least`` (0 or 1), as an int."""
     if is_number(value, numbers.Integral) and value >= least:
         return int(value)
     sign = "positive" if least else "nonnegative"
-    raise ValidationError(f"{name} must be {sign} and an integer, got {value!r}", module=module)
+    message = f"{name} must be {sign} and an integer, got {_shown(value)}"
+    raise ValidationError(message, module=module)
 
 
 def as_real(value, name: str, module: str, *, above: float | None = None) -> float:
@@ -60,12 +71,37 @@ def as_real(value, name: str, module: str, *, above: float | None = None) -> flo
         return float(value)
     rules = {None: "be nonnegative and finite", 0: "be positive and finite"}
     rule = rules.get(above, f"exceed {above} and be finite")
-    raise ValidationError(f"{name} must {rule}, got {value!r}", module=module)
+    raise ValidationError(f"{name} must {rule}, got {_shown(value)}", module=module)
 
 
 def as_complex(value, name: str, module: str) -> complex:
     """A finite complex number, not a bool, as a complex."""
     if is_number(value, numbers.Complex, finite=True):
         return complex(value)
-    shown = complex(value) if isinstance(value, (float, complex)) else repr(value)
+    shown = complex(value) if isinstance(value, (float, complex)) else _shown(value)
     raise ValidationError(f"{name} = {shown} must be finite", module=module)
+
+
+def as_array(values, name: str, module: str, *, ndim: int | None = None) -> np.ndarray:
+    """A nonempty array of finite numbers, with ``ndim`` axes if given, as complex128.
+
+    Nothing is parsed: bools, text, bytes, None, other objects and ragged nestings are
+    rejected. Object arrays of numbers pass (Python integers past int64); an integer
+    past the float range is not finite. complex128 input is returned without a copy.
+    """
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # a ragged nesting (numpy >= 1.24)
+        arr = np.asarray(None)  # rejected below with every other non-number
+    if arr.dtype.kind in "iufc":
+        finite = np.isfinite(arr).all()
+    elif arr.dtype.kind == "O" and all(is_number(v, numbers.Complex) for v in arr.flat):
+        finite = all(is_number(v, numbers.Complex, finite=True) for v in arr.flat)
+    else:
+        raise ValidationError(f"{name} must be numbers in a rectangular array", module=module)
+    if arr.size == 0 or ndim not in (None, arr.ndim):
+        shape = f"nonempty {ndim}-D array" if ndim else "nonempty array"
+        raise ValidationError(f"{name} must be a {shape}, got shape {arr.shape}", module=module)
+    if not finite:
+        raise ValidationError(f"{name} must be finite, not NaN or Inf", module=module)
+    return arr.astype(np.complex128, copy=False)

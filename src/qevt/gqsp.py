@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .encoding import BlockEncoding
-from .errors import NormBoundError, NumericalError, ValidationError, is_number
+from .errors import NormBoundError, NumericalError, ValidationError, as_array, is_number
 from .linalg import PolynomialSpec, as_polynomial, ensure_square
 
 _MOD = "gqsp"
@@ -59,23 +59,12 @@ class GqspSequence:
     scale: float = field(default=1.0)
 
     def __post_init__(self):
-        if not self.rotations:
-            raise ValidationError("a sequence needs at least one rotation", module=_MOD)
         if not is_number(self.scale, numbers.Real) or not 0 < self.scale <= 1.0 + 1e-12:
             raise ValidationError(f"invalid subnormalization scale {self.scale}", module=_MOD)
-        for k, rot in enumerate(self.rotations):
-            try:
-                square = np.shape(rot) == (2, 2)
-            except ValueError:  # a ragged nesting of lists
-                square = False
-            if not square:
-                raise ValidationError(f"rotation {k} is not 2x2", module=_MOD)
-        try:
-            stack = np.array(self.rotations, dtype=np.complex128)  # (n + 1, 2, 2), a copy
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"non-numeric rotation entry: {exc}", module=_MOD) from exc
-        if not np.all(np.isfinite(stack)):
-            raise ValidationError("a rotation contains NaN or Inf entries", module=_MOD)
+        # (n + 1, 2, 2), copied: it is frozen below, and may be the caller's own stack
+        stack = as_array(self.rotations, "rotations", _MOD, ndim=3).copy()
+        if stack.shape[1:] != (2, 2):
+            raise ValidationError(f"rotations must be 2x2, got shape {stack.shape}", module=_MOD)
         gram = stack.conj().transpose(0, 2, 1) @ stack
         defects = np.max(np.abs(np.linalg.eigvalsh(gram - np.eye(2))), axis=1)
         bad = np.flatnonzero(defects > ROTATION_TOL)
@@ -152,6 +141,13 @@ def _autocorrelation(a: np.ndarray) -> np.ndarray:
     return np.convolve(a, np.conj(a[::-1]))[a.size - 1 :]
 
 
+def _deficit(p: PolynomialSpec) -> np.ndarray:
+    """The Laurent coefficients c_0..c_n of 1 - |P|^2 on the circle; c_-k = conj(c_k)."""
+    c = -_autocorrelation(p.array)
+    c[0] += 1.0
+    return c
+
+
 def complete(p) -> PolynomialSpec:
     """Companion polynomial Q with |P|^2 + |Q|^2 = 1 on the unit circle.
 
@@ -179,8 +175,7 @@ def complete(p) -> PolynomialSpec:
 
 def _complete(p: PolynomialSpec, sup: float) -> PolynomialSpec:
     """``complete`` for a polynomial whose circle sup-norm is already known."""
-    c = -_autocorrelation(p.array)  # the Laurent coefficients c_0..c_n of 1 - |P|^2
-    c[0] += 1.0
+    c = _deficit(p)
     n = p.degree
     if float(np.max(np.abs(c))) <= 1e-14:
         # |P| == 1 identically on the circle (a unimodular monomial): Q = 0 exactly
@@ -379,12 +374,10 @@ def synthesize(p) -> GqspSequence:
     p = as_polynomial(p)
     sup = sup_norm_on_circle(p)
     scale = 1.0
-    if sup > 1.0 - SUP_MARGIN:
-        c = -_autocorrelation(p.array)  # the Laurent coefficients c_0..c_n of 1 - |P|^2
-        c[0] += 1.0
-        if float(np.max(np.abs(c))) > 1e-14 or sup > 1.0 + 1e-12:
-            scale = (1.0 - SUP_MARGIN) / sup
-            p = p.scaled(scale)
+    # only sup <= 1 + 1e-12 leaves room for a unimodular monomial, which completes as is
+    if sup > 1.0 + 1e-12 or sup > 1.0 - SUP_MARGIN and np.max(np.abs(_deficit(p))) > 1e-14:
+        scale = (1.0 - SUP_MARGIN) / sup
+        p = p.scaled(scale)
     q = _complete(p, scale * sup)
 
     n = p.degree
@@ -426,15 +419,12 @@ def evaluate_scalar(seq: GqspSequence, z):
 
     Runs the circuit kernel with the signal z on one column per point.
     """
-    try:
-        zs = np.asarray(z, dtype=np.complex128)
-    except (TypeError, ValueError, OverflowError):  # text, None, integers beyond the float range
-        raise ValidationError("evaluation points must be numbers", module=_MOD) from None
-    if not np.all(np.abs(zs) <= 1.0 + 1e-12):  # also True on NaN
+    zs = as_array(z, "evaluation points", _MOD)
+    if not np.all(np.abs(zs) <= 1.0 + 1e-12):
         raise ValidationError("evaluation points must lie in the closed unit disk", module=_MOD)
-    flat = np.atleast_1d(zs).ravel()
-    values = _signal_block(seq, lambda v: flat * v, np.ones(flat.size)).reshape(np.shape(zs))
-    return complex(values) if np.isscalar(z) or np.shape(z) == () else values
+    flat = zs.ravel()
+    values = _signal_block(seq, lambda v: flat * v, np.ones(flat.size)).reshape(zs.shape)
+    return complex(values) if zs.ndim == 0 else values
 
 
 def _grid_residual(seq: GqspSequence, p: PolynomialSpec, grid: int) -> float:

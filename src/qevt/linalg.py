@@ -13,24 +13,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, as_array
 
 _MOD = "linalg"
 
 
 def as_matrix(values, *, name: str = "matrix") -> np.ndarray:
-    """Coerce to a validated complex matrix (2-D, nonempty, finite)."""
-    try:
-        arr = np.asarray(values, dtype=np.complex128)
-    except OverflowError:  # Python integers beyond the float range
-        raise ValidationError(f"{name} contains NaN or Inf entries", module=_MOD) from None
-    if arr.ndim != 2 or arr.size == 0:
-        raise ValidationError(
-            f"{name} must be a nonempty 2-D array, got shape {arr.shape}", module=_MOD
-        )
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
-        raise ValidationError(f"{name} contains NaN or Inf entries", module=_MOD)
-    return arr
+    """Coerce to a validated complex matrix (2-D, nonempty, finite): ``as_array``'s rule."""
+    return as_array(values, name, _MOD, ndim=2)
 
 
 def ensure_square(values, *, name: str = "matrix") -> np.ndarray:
@@ -60,16 +50,7 @@ class PolynomialSpec:
     coefficients: tuple[complex, ...] = field()
 
     def __init__(self, coefficients):
-        try:
-            coeffs = [complex(c) for c in coefficients]
-        except (TypeError, ValueError):  # strings, nested sequences, None
-            raise ValidationError("polynomial coefficients must be numbers", module=_MOD) from None
-        except OverflowError:  # Python integers beyond the float range
-            raise ValidationError("polynomial coefficient is not finite", module=_MOD) from None
-        if not coeffs:
-            raise ValidationError("polynomial needs at least one coefficient", module=_MOD)
-        if not np.all(np.isfinite(coeffs)):
-            raise ValidationError("polynomial coefficient is not finite", module=_MOD)
+        coeffs = as_array(coefficients, "polynomial coefficients", _MOD, ndim=1).tolist()
         while len(coeffs) > 1 and coeffs[-1] == 0:
             coeffs.pop()
         object.__setattr__(self, "coefficients", tuple(coeffs))

@@ -1,8 +1,8 @@
-"""Scalar arguments at the public boundary: one rule per kind, always typed.
+"""Arguments at the public boundary: one rule per kind, always typed.
 
-Counts, finite reals and finite complex numbers go through the checks in
-``qevt.errors``; whatever arrives, a public call returns or raises a
-``QevtError`` naming the module that owns the argument.
+Counts, finite reals, finite complex numbers and arrays of finite numbers
+go through the checks in ``qevt.errors``; whatever arrives, a public call
+returns or raises a ``QevtError`` naming the module that owns the argument.
 """
 
 import math
@@ -27,10 +27,17 @@ from qevt.encoding import (
     regularity_profile,
     verify_encoding,
 )
-from qevt.errors import QevtError, ValidationError, as_complex, as_count, as_real
-from qevt.evt import counter_order_for_degree, perturbation_bound
-from qevt.gqsp import GqspSequence, evaluate_scalar, synthesize
-from qevt.linalg import PolynomialSpec
+from qevt.errors import QevtError, ValidationError, as_array, as_complex, as_count, as_real
+from qevt.evt import counter_order_for_degree, perturbation_bound, transform
+from qevt.gqsp import (
+    GqspSequence,
+    apply_to_operator,
+    complete,
+    evaluate_scalar,
+    sup_norm_on_circle,
+    synthesize,
+)
+from qevt.linalg import PolynomialSpec, as_matrix, ensure_square, horner_eval, operator_norm
 from qevt.regularize import RegularizedEncoding, regularize
 
 A = np.diag([0.5, 0.25])
@@ -130,6 +137,75 @@ class TestRules:
             as_complex(value, "z", "mod")
         assert str(info.value) == f"z = {shown} must be finite" and info.value.module == "mod"
 
+    # integers past Python's 4300-digit limit for str() are shown by sign and bit length
+    HUGE_BITS = (10**5000).bit_length()
+
+    def test_count_shows_huge_integer_by_bit_length(self):
+        with pytest.raises(ValidationError) as info:
+            as_count(-(10**5000), "n", "mod")
+        shown = f"a negative {self.HUGE_BITS}-bit integer"
+        assert str(info.value) == f"n must be nonnegative and an integer, got {shown}"
+        assert info.value.module == "mod"
+
+    def test_real_shows_huge_integer_by_bit_length(self):
+        with pytest.raises(ValidationError) as info:
+            as_real(10**5000, "x", "mod")
+        message = f"x must be nonnegative and finite, got a {self.HUGE_BITS}-bit integer"
+        assert str(info.value) == message and info.value.module == "mod"
+
+    def test_complex_shows_huge_integer_by_bit_length(self):
+        with pytest.raises(ValidationError) as info:
+            as_complex(10**5000, "z", "mod")
+        assert str(info.value) == f"z = a {self.HUGE_BITS}-bit integer must be finite"
+        assert info.value.module == "mod"
+
+    @pytest.mark.parametrize(
+        "values, expected",
+        [
+            ([1, 2], [1, 2]),
+            ([[0.5, 1j]], [[0.5, 1j]]),
+            (np.float32(0.5), 0.5),
+            ([True, 0.5], [1.0, 0.5]),  # numpy upcasts a bool mixed into numbers
+            ([10**30, 1], [1e30, 1.0]),  # an object array of Python integers
+            (np.array([1, 2], dtype=np.uint8), [1, 2]),
+        ],
+        ids=["ints", "complex", "scalar", "bool-upcast", "big-int", "uint8"],
+    )
+    def test_array_accepts_finite_numbers(self, values, expected):
+        got = as_array(values, "v", "m")
+        assert got.dtype == np.complex128 and np.array_equal(got, expected)
+
+    def test_array_returns_complex128_input_itself(self):
+        values = np.ones((2, 2), dtype=np.complex128)
+        assert as_array(values, "v", "m", ndim=2) is values
+
+    @pytest.mark.parametrize(
+        "values, ndim, message",
+        [
+            ("0.5", None, "v must be numbers in a rectangular array"),
+            (["0.5", 1], None, "v must be numbers in a rectangular array"),
+            (b"1", None, "v must be numbers in a rectangular array"),
+            ([[True]], None, "v must be numbers in a rectangular array"),
+            ([[None, 1]], None, "v must be numbers in a rectangular array"),
+            ([[1, 0], [0]], None, "v must be numbers in a rectangular array"),
+            ({"a": 1}, None, "v must be numbers in a rectangular array"),
+            ([1, 10**400, object()], None, "v must be numbers in a rectangular array"),
+            ([], None, "v must be a nonempty array, got shape (0,)"),
+            ([1, 2], 2, "v must be a nonempty 2-D array, got shape (2,)"),
+            ([[math.nan]], None, "v must be finite, not NaN or Inf"),
+            ([complex(1, math.inf)], 1, "v must be finite, not NaN or Inf"),
+            ([[10**400]], 2, "v must be finite, not NaN or Inf"),
+        ],
+        ids=[
+            "text", "numeric-text", "bytes", "bools", "none", "ragged", "dict", "object",
+            "empty", "ndim", "nan", "inf", "huge-int",
+        ],
+    )
+    def test_array_rejects(self, values, ndim, message):
+        with pytest.raises(ValidationError) as info:
+            as_array(values, "v", "mod", ndim=ndim)
+        assert str(info.value) == message and info.value.module == "mod"
+
 
 # each of these was a bare exception or a silent acceptance before the shared rules
 ESCAPES = {
@@ -165,6 +241,20 @@ ESCAPES = {
     "disk_samples-float": (lambda: disk_samples(2.5), "analytic"),
     "disk_samples-text": (lambda: disk_samples("x"), "analytic"),
     "evaluate_scalar-text": (lambda: evaluate_scalar(SEQ, "x"), "gqsp"),
+    "evaluate_scalar-numeric-text": (lambda: evaluate_scalar(SEQ, "0.5"), "gqsp"),
+    "transform-ragged": (lambda: transform([[0.5, 0.1], [0.2]], P), "linalg"),
+    "transform-numeric-text": (lambda: transform([["0.5"]], ["1", "0.5"]), "linalg"),
+    "BlockEncoding-ragged": (lambda: BlockEncoding([[1, 0], [0]], 0, 2), "linalg"),
+    "assemble_from_jordan-ragged": (
+        lambda: assemble_from_jordan(JordanForm([[1, 0], [0]], ((0.5, 2),))),
+        "linalg",
+    ),
+    "horner_eval-dict": (lambda: horner_eval([1], {"a": 1}), "linalg"),
+    "PolynomialSpec-numeric-text": (lambda: PolynomialSpec(["1", "0.5j"]), "linalg"),
+    "PolynomialSpec-digit-string": (lambda: PolynomialSpec("12"), "linalg"),
+    "dilate-bool": (lambda: dilate([[True]]), "linalg"),
+    "GqspSequence-numeric-text": (lambda: GqspSequence(([["1", 0], [0, "1"]],)), "gqsp"),
+    "GqspSequence-bool": (lambda: GqspSequence(([[True, False], [False, True]],)), "gqsp"),
 }
 
 
@@ -222,3 +312,46 @@ def test_junk_scalar_returns_or_raises_a_library_error(call, junk):
         call(junk)
     except QevtError:
         pass
+
+
+# every public function or validated constructor, one entry per array argument
+ARRAY_ARGUMENTS = {
+    "as_matrix": as_matrix,
+    "ensure_square": ensure_square,
+    "operator_norm": operator_norm,
+    "horner_eval.p": lambda x: horner_eval(x, A),
+    "horner_eval.a": lambda x: horner_eval(P, x),
+    "PolynomialSpec": PolynomialSpec,
+    "BlockEncoding.unitary": lambda x: BlockEncoding(x, 0, 1),
+    "dilate": dilate,
+    "transform.a_mat": lambda x: transform(x, P),
+    "transform.p": lambda x: transform(A, x),
+    "GqspSequence.rotations": GqspSequence,
+    "evaluate_scalar.z": lambda x: evaluate_scalar(SEQ, x),
+    "apply_to_operator.u": lambda x: apply_to_operator(SEQ, x),
+    "sup_norm_on_circle": sup_norm_on_circle,
+    "complete": complete,
+    "synthesize": synthesize,
+    "JordanForm.similarity": lambda x: assemble_from_jordan(JordanForm(x, ((0.5, 1),))),
+}
+
+# text, numeric text, nothing, a bool, a ragged nesting, a mapping, nothing at all,
+# NaN, an integer beyond the float range
+ARRAY_JUNK = {
+    "text": "x",
+    "numeric-text": ["0.5"],
+    "none": None,
+    "bool": [[True]],
+    "ragged": [[1, 0], [0]],
+    "dict": {"a": 1},
+    "empty": [],
+    "nan": [[math.nan]],
+    "huge-int": [[10**400]],
+}
+
+
+@pytest.mark.parametrize("junk", ARRAY_JUNK.values(), ids=ARRAY_JUNK.keys())
+@pytest.mark.parametrize("call", ARRAY_ARGUMENTS.values(), ids=ARRAY_ARGUMENTS.keys())
+def test_junk_array_raises_a_validation_error(call, junk):
+    with pytest.raises(ValidationError):
+        call(junk)

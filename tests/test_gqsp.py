@@ -436,18 +436,19 @@ class TestGqspSequence:
     @pytest.mark.parametrize(
         "rotations, scale, message",
         [
-            ((), 1.0, "at least one rotation"),
+            ((), 1.0, "rotations must be a nonempty 3-D array"),
             ((X,), 0.0, "invalid subnormalization scale 0.0"),
             ((X,), 2.0, "invalid subnormalization scale 2.0"),
-            ((X, np.eye(3)), 1.0, "rotation 1 is not 2x2"),
-            ((X, [[1, 0], [0]]), 1.0, "rotation 1 is not 2x2"),
+            ((X, np.eye(3)), 1.0, "rotations must be numbers in a rectangular array"),
+            ((np.eye(3), np.eye(3)), 1.0, r"rotations must be 2x2, got shape \(2, 3, 3\)"),
+            ((X, [[1, 0], [0]]), 1.0, "rotations must be numbers in a rectangular array"),
             ((X, [[np.nan, 0], [0, 1]]), 1.0, "NaN or Inf"),
-            ((X, [["a", 0], [0, 1]]), 1.0, "non-numeric rotation entry"),
+            ((X, [["a", 0], [0, 1]]), 1.0, "rotations must be numbers in a rectangular array"),
             ((X,), "x", "invalid subnormalization scale x"),
             ((X,), None, "invalid subnormalization scale None"),
         ],
         ids=[
-            "empty", "scale-0", "scale-2", "3x3", "ragged", "nan",
+            "empty", "scale-0", "scale-2", "3x3", "3x3-stack", "ragged", "nan",
             "string-entry", "scale-str", "scale-none",
         ],
     )
@@ -455,6 +456,12 @@ class TestGqspSequence:
         with pytest.raises(ValidationError, match=message) as info:
             GqspSequence(rotations=rotations, scale=scale)
         assert info.value.module == "gqsp"
+
+    def test_freezes_its_own_copy_of_a_stack(self):
+        stack = np.array([X, X])
+        seq = GqspSequence(rotations=stack)
+        assert stack.flags.writeable and not seq.rotations[0].flags.writeable
+        assert np.array_equal(np.array(seq.rotations), stack)
 
 
 class TestEvaluateScalar:
@@ -471,7 +478,7 @@ class TestEvaluateScalar:
 
     def test_nan_point_rejected(self):
         seq = synthesize(PolynomialSpec([0.5]))
-        with pytest.raises(ValidationError, match="closed unit disk"):
+        with pytest.raises(ValidationError, match="evaluation points must be finite"):
             evaluate_scalar(seq, np.nan)
 
     def test_grid_matches_coefficient_evaluation(self):

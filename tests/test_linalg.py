@@ -74,21 +74,30 @@ class TestPolynomialSpec:
         with pytest.raises(ValidationError):
             PolynomialSpec([])
 
-    @pytest.mark.parametrize("coefficient", ["abc", [1, 2], None], ids=["text", "pair", "none"])
-    def test_non_numeric_coefficient_rejected(self, coefficient):
-        with pytest.raises(ValidationError, match="must be numbers") as info:
-            PolynomialSpec([coefficient])
+    @pytest.mark.parametrize(
+        "coefficients, message",
+        [
+            (["abc"], "must be numbers"),
+            ([None], "must be numbers"),
+            ([True, False], "must be numbers"),
+            ([[1, 2]], r"must be a nonempty 1-D array, got shape \(1, 2\)"),
+        ],
+        ids=["text", "none", "bools", "pair"],
+    )
+    def test_non_numeric_coefficient_rejected(self, coefficients, message):
+        with pytest.raises(ValidationError, match=message) as info:
+            PolynomialSpec(coefficients)
         assert info.value.module == "linalg"
 
     @pytest.mark.parametrize(
         "coefficient", [np.nan, np.inf, complex(0.0, np.nan)], ids=["nan", "inf", "imag-nan"]
     )
     def test_non_finite_coefficient_rejected(self, coefficient):
-        with pytest.raises(ValidationError, match="polynomial coefficient is not finite"):
+        with pytest.raises(ValidationError, match="polynomial coefficients must be finite"):
             PolynomialSpec([0.5, coefficient])
 
     def test_integer_beyond_float_range_rejected(self):
-        with pytest.raises(ValidationError, match="not finite") as info:
+        with pytest.raises(ValidationError, match="must be finite") as info:
             PolynomialSpec([0.5, 10**400])
         assert info.value.module == "linalg"
 
