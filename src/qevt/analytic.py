@@ -81,9 +81,14 @@ def exp_plan(eps: float) -> TruncationPlan:
 
     The order is the smallest N with 2/(N+1)! <= eps; the ratio between
     consecutive tail terms is at most 1/2, so the geometric majorant is
-    valid for every N >= 0.
+    valid for every N >= 0. An eps below 2/170!, the last such bound in the
+    float range (171! is past it), is a ValidationError.
     """
     eps = as_real(eps, "eps", _MOD, above=0)
+    floor = 2.0 / math.factorial(170)
+    if eps < floor:
+        message = f"eps must be at least 2/170! = {floor:.6g}, got {eps!r}"
+        raise ValidationError(message, module=_MOD)
     n = 0
     while 2.0 / math.factorial(n + 1) > eps:
         n += 1

@@ -38,11 +38,13 @@ class BlockEncoding:
         if a >= len(u).bit_length() or 2**a * d != len(u):
             raise ValidationError(f"unitary dimension {len(u)} != 2^{a} * {d}", module=_MOD)
         # ||E|| <= ||E||_F, so a small Frobenius norm accepts without the
-        # eigensolve; otherwise (a NaN norm included, from an overflowing
-        # product) the exact operator norm decides
-        defect = u.conj().T @ u - np.eye(u.shape[0])
-        if not np.linalg.norm(defect) <= UNITARITY_TOL:
-            norm = operator_norm(defect)
+        # SVD; otherwise the exact operator norm decides, or is inf where the
+        # product overflowed (finite entries past ~1e154)
+        with np.errstate(over="ignore", invalid="ignore"):
+            defect = u.conj().T @ u - np.eye(u.shape[0])
+            frobenius = np.linalg.norm(defect)
+        if not frobenius <= UNITARITY_TOL:
+            norm = operator_norm(defect) if np.isfinite(defect).all() else np.inf
             if norm > UNITARITY_TOL:
                 raise ValidationError(
                     f"matrix is not unitary: ||U^dag U - I|| = {norm:.3e}", module=_MOD
@@ -75,7 +77,7 @@ def dilate(a_mat) -> BlockEncoding:
     norm = float(sing[0])
     if norm > 1.0 + NORM_SLACK:
         raise NormBoundError(
-            f"cannot dilate: ||A|| = {norm:.12g} > 1; divide by the norm first",
+            f"cannot dilate: ||A|| = {norm:.17g} > 1; divide by the norm first",
             module=_MOD,
             norm=norm,
         )

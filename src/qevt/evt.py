@@ -8,8 +8,9 @@ computed. It depends on the counter-0 sector alone (see assemble_circuit),
 so it is QSP on the encoded block, carried on d columns: the block is
 P(A), verified against a classical Horner evaluation.
 
-The pipeline is total on square inputs: a matrix with norm above one is
-divided by its norm and the polynomial coefficients absorb the factor
+The pipeline is total on square inputs: a matrix whose norm alpha (the
+largest singular value, from ``operator_norm``) is above one, by any
+amount, is divided by it and the polynomial coefficients absorb the factor
 (a_k -> a_k alpha^k), and a polynomial too large on the unit circle is
 subnormalized, with the surviving factor reported in the transform
 report. No spectral assumptions are made; non-diagonalizable inputs are
@@ -104,7 +105,7 @@ def transform(a_mat, p) -> TransformReport:
     p = as_polynomial(p)
 
     alpha = operator_norm(a)
-    if alpha > 1.0 + 1e-12:
+    if alpha > 1.0:  # then ||A / alpha|| = 1 to rounding, well inside dilate's NORM_SLACK
         a_enc = a / alpha
         try:  # P(alpha z) so that P_enc(A/alpha) == P(A) exactly
             p_enc = PolynomialSpec([c * alpha**k for k, c in enumerate(p.coefficients)])

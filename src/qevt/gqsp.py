@@ -27,13 +27,12 @@ block they leave in the processing-0 half is returned.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .encoding import BlockEncoding
-from .errors import NormBoundError, NumericalError, ValidationError, as_array, is_number
+from .errors import NormBoundError, NumericalError, ValidationError, _shown, as_array, as_real
 from .linalg import PolynomialSpec, as_polynomial, ensure_square
 
 _MOD = "gqsp"
@@ -59,8 +58,9 @@ class GqspSequence:
     scale: float = field(default=1.0)
 
     def __post_init__(self):
-        if not is_number(self.scale, numbers.Real) or not 0 < self.scale <= 1.0 + 1e-12:
-            raise ValidationError(f"invalid subnormalization scale {self.scale}", module=_MOD)
+        if as_real(self.scale, "subnormalization scale", _MOD, above=0) > 1.0 + 1e-12:
+            message = f"subnormalization scale must be at most 1, got {_shown(self.scale)}"
+            raise ValidationError(message, module=_MOD)
         # (n + 1, 2, 2), copied: it is frozen below, and may be the caller's own stack
         stack = as_array(self.rotations, "rotations", _MOD, ndim=3).copy()
         if stack.shape[1:] != (2, 2):
@@ -99,8 +99,15 @@ def sup_norm_on_circle(p) -> float:
     about the brackets' grid points (their coefficients from FFTs), recentres each
     bracket on its largest value, shrinks it 16x and drops the brackets that can no
     longer beat the best, until the slack is below rounding.
+
+    The coefficients are first divided by 2^e, the power of two just above their
+    largest real or imaginary part, and the result is multiplied back: exact for
+    every step below, so |P|^2 cannot overflow and a finite result is unchanged.
     """
     p = as_polynomial(p)
+    parts = p.array.view(np.float64)  # real and imaginary parts, interleaved
+    exponent = math.frexp(float(np.max(np.abs(parts))))[1]
+    coeffs = np.ldexp(parts, -exponent).view(np.complex128)
     n = p.degree
     grid = 1 << (8 * n + 7).bit_length()  # 2^ceil(log2 8(n + 1))
     step = 2 * np.pi / grid
@@ -108,7 +115,7 @@ def sup_norm_on_circle(p) -> float:
     # coefficients of P(z e^{i u step}) in u, with |k step u| < 0.85 for |u| < 1.07
     orders = np.arange(TAYLOR_TERMS)
     factorials = np.cumprod(np.maximum(orders, 1), dtype=float)[:, None]
-    terms = p.array * (1j * step * np.arange(n + 1)) ** orders[:, None] / factorials
+    terms = coeffs * (1j * step * np.arange(n + 1)) ** orders[:, None] / factorials
     taylor = grid * np.fft.ifft(terms, grid)
     values = np.abs(taylor[0]) ** 2
     best = float(values.max())
@@ -133,7 +140,8 @@ def sup_norm_on_circle(p) -> float:
         keep = peaks + slack(width) >= best
         centres = points[peak][keep]
         taylor = taylor[:, keep]
-    return math.sqrt(best)
+    with np.errstate(over="ignore"):  # a sup beyond the float range is inf
+        return float(np.ldexp(math.sqrt(best), exponent))
 
 
 def _autocorrelation(a: np.ndarray) -> np.ndarray:
@@ -373,6 +381,9 @@ def synthesize(p) -> GqspSequence:
     """
     p = as_polynomial(p)
     sup = sup_norm_on_circle(p)
+    if sup == math.inf:
+        message = "sup |P| on the circle is inf, beyond the float range; rescale the polynomial"
+        raise NormBoundError(message, module=_MOD, norm=sup)
     scale = 1.0
     # only sup <= 1 + 1e-12 leaves room for a unimodular monomial, which completes as is
     if sup > 1.0 + 1e-12 or sup > 1.0 - SUP_MARGIN and np.max(np.abs(_deficit(p))) > 1e-14:

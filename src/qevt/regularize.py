@@ -18,14 +18,13 @@ Register order, most significant first: counter (C), original ancillas
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .encoding import BlockEncoding
-from .errors import ValidationError, is_number
+from .errors import ValidationError, _shown, as_count
 
 _MOD = "regularize"
 
@@ -43,13 +42,15 @@ class RegularizedEncoding:
     order: int
 
     def __post_init__(self):
-        order = self.order
-        if not is_number(order, numbers.Integral) or order < 1 or order & (order - 1):
-            raise ValidationError(f"order must be a power of two, got {order!r}", module=_MOD)
+        order = as_count(self.order, "order", _MOD, least=1)
+        if order & (order - 1):
+            message = f"order must be a power of two, got {_shown(order)}"
+            raise ValidationError(message, module=_MOD)
+        object.__setattr__(self, "order", order)
 
     @property
     def counter_qubits(self) -> int:
-        return int(self.order).bit_length() - 1  # also for numpy integers
+        return self.order.bit_length() - 1
 
     @property
     def source_ancillas(self) -> int:

@@ -106,7 +106,7 @@ def naive_poly_apply(coeffs, a: np.ndarray) -> np.ndarray:
 
 
 def opnorm(a: np.ndarray) -> float:
-    """SVD operator norm; independent of the library's eigensolver route."""
+    """Operator norm by ``np.linalg.norm(a, 2)`` (an SVD), bypassing the library's input checks."""
     return float(np.linalg.norm(a, 2))
 
 

@@ -255,6 +255,12 @@ ESCAPES = {
     "dilate-bool": (lambda: dilate([[True]]), "linalg"),
     "GqspSequence-numeric-text": (lambda: GqspSequence(([["1", 0], [0, "1"]],)), "gqsp"),
     "GqspSequence-bool": (lambda: GqspSequence(([[True, False], [False, True]],)), "gqsp"),
+    "GqspSequence-scale-huge-int": (lambda: GqspSequence(SEQ.rotations, 10**5000), "gqsp"),
+    "RegularizedEncoding-order-huge-int": (
+        lambda: RegularizedEncoding(BE, 10**5000),
+        "regularize",
+    ),
+    "exp_plan-eps-below-factorial-range": (lambda: exp_plan(1e-320), "analytic"),
 }
 
 

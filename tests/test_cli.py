@@ -348,6 +348,15 @@ class TestSynthesizeCommand:
         assert len(lines) == 1
         assert json.loads(lines[0])["module"] == "gqsp"
 
+    def test_sup_beyond_the_float_range_exits_3(self, tmp_path, capsys):
+        poly = write_poly(tmp_path / "p.json", [1e308, 1e308])
+        assert cli.main(["synthesize", "--coeffs", poly]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = json.loads(captured.err)
+        assert error["module"] == "gqsp" and error["exit"] == 3
+        assert error["error"].startswith("sup |P| on the circle is inf")
+
     def test_rescales_past_nearly_equal_peaks(self, tmp_path, capsys):
         # sup 1.0000197: a grid sample 5e-5 low left it unrescaled, and the
         # completion failed on a deficit that goes negative
@@ -372,6 +381,24 @@ class TestTransformCommand:
         assert error["module"] == "evt" and error["exit"] == 3
         assert error["error"].startswith("P(alpha z) overflows for ||A|| = 1.5")
         assert error["error"].endswith("at degree 2315")
+
+    def test_norm_whose_square_overflows(self, tmp_path, capsys):
+        # ||A|| = 1e160 is rescaled, not rejected by dilate; at degree 2 the
+        # rescaled coefficients overflow instead: a norm error, one JSON line
+        matrix = write_matrix(tmp_path / "a.json", np.eye(2) * 1e160)
+        linear = write_poly(tmp_path / "p1.json", [0.5, 0.5])
+        assert cli.main(["transform", matrix, "--coeffs", linear]) == 0
+        assert json.loads(capsys.readouterr().out)["controlled_calls"] == 1
+        quadratic = write_poly(tmp_path / "p2.json", [0.5, 0.5, 0.5])
+        assert cli.main(["transform", matrix, "--coeffs", quadratic]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = json.loads(captured.err)
+        assert error == {
+            "error": "P(alpha z) overflows for ||A|| = 1e+160 at degree 2",
+            "module": "evt",
+            "exit": 3,
+        }
 
     def test_exp_of_identity(self, tmp_path, capsys):
         matrix = write_matrix(tmp_path / "a.json", np.eye(2))
@@ -470,9 +497,14 @@ class TestTransformCommand:
             (["--inverse", "inf"], "the pole c = (inf+0j) must be finite"),
             (["--exp", "--eps", "nan"], "eps must be positive and finite, got nan"),
             (["--exp", "--eps", "inf"], "eps must be positive and finite, got inf"),
+            # 2/171! is past the float range: the order cannot be computed
+            (
+                ["--exp", "--eps", "1e-320"],
+                "eps must be at least 2/170! = 2.7558e-307, got 1e-320",
+            ),
         ],
         ids=["inverse-eps-nan", "inverse-eps-inf", "inverse-nan", "inverse-inf",
-             "exp-eps-nan", "exp-eps-inf"],
+             "exp-eps-nan", "exp-eps-inf", "exp-eps-below-range"],
     )
     def test_non_finite_builtin_exits_2(self, tmp_path, capsys, source, message):
         matrix = write_matrix(tmp_path / "a.json", 0.5 * np.eye(2))

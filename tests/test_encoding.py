@@ -66,13 +66,16 @@ class TestBlockEncoding:
         assert f"{opnorm(defect):.3e}" == "1.100e-09"
 
     def test_overflowing_gram_product_is_rejected(self):
-        # finite entries whose U^dag U overflows to inf - inf = NaN: a NaN
-        # Frobenius norm must not pass for a small one
-        u = np.array([[1e200, 1e200], [1e200, -1e200]], dtype=complex)
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert np.isnan(np.linalg.norm(u.conj().T @ u - np.eye(2)))
-            with pytest.raises(ValidationError, match="NaN or Inf"):
+        # finite entries whose U^dag U overflows, to inf - inf = NaN or to inf:
+        # a NaN Frobenius norm must not pass for a small one, and the defect is
+        # reported as inf, not as a non-finite input
+        for u in np.array([[1e200, 1e200], [1e200, -1e200]]), np.eye(2) * 1e160:
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert not np.isfinite(np.linalg.norm(u.conj().T @ u - np.eye(2)))
+            with pytest.raises(ValidationError) as info:
                 BlockEncoding(unitary=u, ancilla_qubits=1, system_dim=1)
+            assert str(info.value) == "matrix is not unitary: ||U^dag U - I|| = inf"
+            assert info.value.module == "encoding"
 
     def test_unitary_is_frozen(self):
         be = BlockEncoding(unitary=np.eye(4), ancilla_qubits=1, system_dim=2)
@@ -124,6 +127,14 @@ class TestDilate:
         with pytest.raises(NormBoundError) as excinfo:
             dilate(a)
         assert excinfo.value.norm == pytest.approx(1.5, abs=1e-9)
+
+    def test_norm_violation_message_shows_the_excess(self):
+        # twelve significant digits print 1 + 1.4e-12 as "1 > 1"
+        with pytest.raises(NormBoundError) as excinfo:
+            dilate(np.eye(2) * (1 + 1.4e-12))
+        assert str(excinfo.value) == (
+            "cannot dilate: ||A|| = 1.0000000000014 > 1; divide by the norm first"
+        )
 
     def test_boundary_contraction(self):
         # norm exactly 1 must not fail and must verify tightly

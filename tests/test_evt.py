@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qevt.analytic import JordanForm, assemble_from_jordan, shifted_inverse_plan
 from qevt.encoding import BlockEncoding, dilate, top_left_block
@@ -199,6 +201,43 @@ class TestTransform:
         p = random_polynomial(rng, 4, sup=0.9)
         report = transform(a, p)
         assert opnorm(report.result_block - horner_eval(p, a)) <= 1e-8
+
+    @pytest.mark.parametrize(
+        "seed, factor",
+        [(3, 1 + 1e-12), (0, 1 + 1e-12 + 2**-52), (1, 1 + 1e-12 - 2**-52)],
+        ids=["seed3", "seed0-up", "seed1-down"],
+    )
+    def test_norm_at_the_dilation_slack_is_rescaled(self, seed, factor):
+        # ||A|| = 1 + 1e-12 to an ulp: the rescaling test and dilate's slack
+        # must not disagree about which side of it A is on
+        rng = rng_for(seed)
+        g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        report = transform(g / np.linalg.norm(g, 2) * factor, [0.5, 0.25])
+        assert report.achieved_error <= 1e-12
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        dim=st.integers(1, 6),
+        base=st.sampled_from([1.0, 1.0 + 1e-12]),
+        ulps=st.integers(-4, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_norm_near_one_never_raises(self, dim, base, ulps, seed):
+        g = random_complex(rng_for(seed), (dim, dim))
+        a = g / np.linalg.norm(g, 2) * (base + ulps * 2.0**-52)
+        report = transform(a, [0.5, 0.25])
+        assert report.achieved_error <= 1e-12
+
+    def test_norm_whose_square_overflows(self):
+        # ||A|| = 1e160: A^dag A overflows, the SVD does not. Degree 1 scales
+        # the top coefficient by 1e160; degree 2 would need 1e320
+        a = np.eye(2) * 1e160
+        report = transform(a, [0.5, 0.5])
+        assert report.achieved_error <= 1e-15 * opnorm(report.oracle_block)
+        with pytest.raises(NormBoundError) as info:
+            transform(a, [0.5, 0.5, 0.5])
+        assert str(info.value) == "P(alpha z) overflows for ||A|| = 1e+160 at degree 2"
+        assert info.value.module == "evt"
 
 
     @pytest.mark.parametrize(

@@ -80,6 +80,19 @@ class TestSupNormOnCircle:
         assert reference == pytest.approx(0.999999664, abs=1e-9)
         assert abs(sup_norm_on_circle(p) - reference) <= 1e-13 * reference
 
+    @pytest.mark.parametrize("power", [-1000, -60, 60, 1000])
+    @pytest.mark.parametrize("degree", [0, 7, 301])
+    def test_power_of_two_scaling_is_exact(self, degree, power):
+        # the coefficients are scaled to their own binade before |P|^2 is formed,
+        # so scaling by 2^power scales the result by exactly that
+        p = random_polynomial(rng_for(degree), degree, sup=0.9)
+        scaled = sup_norm_on_circle(p.array * 2.0**power)
+        assert scaled == sup_norm_on_circle(p) * 2.0**power
+
+    def test_coefficients_whose_squares_overflow(self):
+        # |P|^2 reaches 4e600, past the float range; the scaled samples do not
+        assert sup_norm_on_circle([1e300, 1e300]) == pytest.approx(2e300, rel=1e-15)
+
 
 class TestOnCircle:
     @pytest.mark.parametrize("grid", [16, 171, 512], ids=["folded", "exact", "padded"])
@@ -288,6 +301,19 @@ class TestSynthesize:
         assert seq.degree == 0
         assert seq.rotations[0][0, 0] == pytest.approx(c, abs=1e-12)
 
+    def test_coefficients_whose_squares_overflow(self):
+        seq = synthesize([1e300, 1e300])
+        assert seq.scale == pytest.approx((1 - gqsp.SUP_MARGIN) / 2e300, rel=1e-15, abs=0)
+        assert evaluate_scalar(seq, 1.0) / seq.scale == pytest.approx(2e300, rel=1e-12)
+
+    def test_sup_beyond_the_float_range_is_a_norm_error(self):
+        with pytest.raises(NormBoundError) as info:
+            synthesize([1e308, 1e308])
+        assert str(info.value) == (
+            "sup |P| on the circle is inf, beyond the float range; rescale the polynomial"
+        )
+        assert info.value.module == "gqsp" and info.value.norm == np.inf
+
     def test_averaging_polynomial_grid_residual(self):
         seq = synthesize(AVERAGING)
         pts = circle_grid(1024)
@@ -437,19 +463,20 @@ class TestGqspSequence:
         "rotations, scale, message",
         [
             ((), 1.0, "rotations must be a nonempty 3-D array"),
-            ((X,), 0.0, "invalid subnormalization scale 0.0"),
-            ((X,), 2.0, "invalid subnormalization scale 2.0"),
+            ((X,), 0.0, "subnormalization scale must be positive and finite, got 0.0"),
+            ((X,), 2.0, "subnormalization scale must be at most 1, got 2.0"),
             ((X, np.eye(3)), 1.0, "rotations must be numbers in a rectangular array"),
             ((np.eye(3), np.eye(3)), 1.0, r"rotations must be 2x2, got shape \(2, 3, 3\)"),
             ((X, [[1, 0], [0]]), 1.0, "rotations must be numbers in a rectangular array"),
             ((X, [[np.nan, 0], [0, 1]]), 1.0, "NaN or Inf"),
             ((X, [["a", 0], [0, 1]]), 1.0, "rotations must be numbers in a rectangular array"),
-            ((X,), "x", "invalid subnormalization scale x"),
-            ((X,), None, "invalid subnormalization scale None"),
+            ((X,), "x", "subnormalization scale must be positive and finite, got 'x'"),
+            ((X,), None, "subnormalization scale must be positive and finite, got None"),
+            ((X,), 10**5000, "scale must be positive and finite, got a 16610-bit integer"),
         ],
         ids=[
             "empty", "scale-0", "scale-2", "3x3", "3x3-stack", "ragged", "nan",
-            "string-entry", "scale-str", "scale-none",
+            "string-entry", "scale-str", "scale-none", "scale-huge-int",
         ],
     )
     def test_rejects_invalid_sequences(self, rotations, scale, message):
@@ -530,6 +557,13 @@ class TestApplyToOperator:
         seq = synthesize(PolynomialSpec([0.5]))
         with pytest.raises(ValidationError, match="unitary"):
             apply_to_operator(seq, np.eye(2) * 0.5)
+
+    def test_rejects_finite_signal_whose_gram_overflows(self):
+        seq = synthesize(PolynomialSpec([0.5]))
+        with pytest.raises(ValidationError) as info:
+            apply_to_operator(seq, np.eye(2) * 1e200)
+        assert str(info.value) == "matrix is not unitary: ||U^dag U - I|| = inf"
+        assert info.value.module == "encoding"
 
 
 class TestCircleInvariants:

@@ -23,6 +23,12 @@ class TestOperatorNorm:
             a = random_complex(rng, (4, 4))
             assert operator_norm(a) == pytest.approx(opnorm(a), rel=1e-10)
 
+    @pytest.mark.parametrize("s", [1e200, 1e-200], ids=["1e200", "1e-200"])
+    def test_homogeneous_across_the_float_range(self, s):
+        # A^dag A would overflow, or underflow to 0; the SVD forms no square
+        a = random_complex(rng_for(7), (4, 4))
+        assert operator_norm(s * a) == pytest.approx(s * operator_norm(a), rel=1e-15, abs=0)
+
     def test_rejects_nan(self):
         bad = np.array([[np.nan, 0], [0, 1]])
         with pytest.raises(ValidationError):
