@@ -24,7 +24,6 @@ from .encoding import (
     regularity_order,
     regularity_profile,
     top_left_block,
-    verify_encoding,
 )
 from .errors import NormBoundError, NumericalError, QevtError, ValidationError
 from .evt import (
@@ -92,5 +91,4 @@ __all__ = [
     "taylor_truncation_order",
     "top_left_block",
     "transform",
-    "verify_encoding",
 ]

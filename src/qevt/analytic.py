@@ -1,11 +1,12 @@
 """Analytic front-ends: certified Taylor truncations and Jordan-form tools.
 
 Each planner returns the coefficient vector of a truncated power series
-together with a certified uniform error bound on the closed unit disk,
-double-checked on a deterministic sample of the disk. Jordan utilities
-build matrices from a prescribed Jordan form and evaluate polynomials on
-single Jordan blocks through exact derivative shifts; no numerical Jordan
-decomposition of arbitrary input is attempted (that problem is ill-posed).
+with a certified uniform error bound on the closed unit disk, checked on a
+deterministic disk sample up to the rounding of the check itself. Jordan
+utilities build matrices from a prescribed Jordan form and evaluate
+polynomials on single Jordan blocks through exact derivative shifts; no
+numerical Jordan decomposition of arbitrary input is attempted (that
+problem is ill-posed).
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .linalg import PolynomialSpec, as_polynomial, ensure_square, operator_norm
 _MOD = "analytic"
 
 DEFAULT_EXP_SCALE = 1.0 / 3.0  # keeps |e^z| * scale below 1 on the closed disk
+MAX_TRUNCATION_ORDER = 2**20  # 35x the largest documented plan (degree 29949)
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,31 +50,52 @@ def disk_samples(count: int) -> np.ndarray:
     return radius * np.exp(1j * golden_angle * k)
 
 
-def _check_on_disk(plan_values, target_values, bound: float, what: str) -> None:
-    worst = float(np.max(np.abs(plan_values - target_values)))
-    if worst > bound:
-        raise NumericalError(
-            f"{what}: sample error {worst:.3e} exceeds the certified bound {bound:.3e}",
-            module=_MOD,
-        )
+def _check_on_disk(plan: PolynomialSpec, target, bound: float, what: str) -> None:
+    """Compare plan and target on 1000 disk samples: ``bound`` (exact arithmetic) plus rounding.
+
+    Higham (Accuracy and Stability of Numerical Algorithms, Lemma 3.5, section
+    5.1): a complex sum is exact to u, a product to sqrt(2) gamma_2 <= gamma_3, so
+    Horner's rule, at most k products and k + 1 sums on c_k z^k, errs by at most
+    gamma_{4(n+1)} sum |c_k| |z|^k <= gamma_{4(n+1)} sum |c_k| on the disk. Either
+    target (a sum and a quotient, sqrt(2) gamma_4; or libm's exp, cos, sin and two
+    products) is within gamma_8 |f(z)|. The stored coefficients are what is
+    checked: their rounding is not allowed for.
+    """
+    pts = disk_samples(1000)
+    values = target(pts)
+    error = np.abs(plan(pts) - values)
+    ku = np.array([4 * (plan.degree + 1), 8]) * 2.0**-53
+    gamma_plan, gamma_target = ku / (1.0 - ku)
+    allowed = bound + gamma_plan * np.sum(np.abs(plan.array)) + gamma_target * np.abs(values)
+    if not (error <= allowed).all():  # also on NaN
+        worst = int(np.argmax(error - allowed))  # a NaN, if any
+        message = f"{what}: sample error {error[worst]:.3e} exceeds the certified bound"
+        rounding = allowed[worst] - bound
+        raise NumericalError(f"{message} {bound:.3e} plus rounding {rounding:.3e}", module=_MOD)
 
 
 def shifted_inverse_plan(c: complex, eps: float) -> TruncationPlan:
     """Geometric-series truncation of 1/(c - z) for a pole outside the disk.
 
     Coefficients are 1/c^{k+1}; the order N = ceil(log_|c|(1/(eta eps)))
-    with eta = |c| - 1 makes the geometric tail at most eps on the disk.
+    with eta = |c| - 1 makes the geometric tail at most eps on the disk. An
+    order past MAX_TRUNCATION_ORDER or the float range is a ValidationError.
     """
     c = as_complex(c, "the pole c", _MOD)
     eps = as_real(eps, "eps", _MOD, above=0)
     mod = as_real(abs(c), "the pole's modulus |c|", _MOD, above=1)  # outside the closed disk
     eta = mod - 1.0
-    n = max(0, math.ceil(math.log(1.0 / (eta * eps), mod)))
-    coeffs = [1.0 / c ** (k + 1) for k in range(n + 1)]
+    try:
+        n = max(0, math.ceil(math.log(1.0 / (eta * eps), mod)))
+    except (ZeroDivisionError, OverflowError):  # 1/(eta eps) is past the float range
+        message = f"(|c| - 1) * eps = {eta!r} * {eps!r} is below the float range"
+        raise ValidationError(message, module=_MOD) from None
+    if n > MAX_TRUNCATION_ORDER:
+        message = f"truncation order {n} for |c| = {mod!r}, eps = {eps!r}"
+        raise ValidationError(f"{message} exceeds the cap {MAX_TRUNCATION_ORDER}", module=_MOD)
+    plan = PolynomialSpec([1.0 / c ** (k + 1) for k in range(n + 1)])
     tail = mod ** -(n + 1) / eta
-    pts = disk_samples(1000)
-    plan = PolynomialSpec(coeffs)
-    _check_on_disk(plan(pts), 1.0 / (c - pts), max(tail, eps), "shifted inverse truncation")
+    _check_on_disk(plan, lambda z: 1.0 / (c - z), max(tail, eps), "shifted inverse truncation")
     return TruncationPlan(order=n, coefficients=plan, certified_error=tail)
 
 
@@ -92,12 +115,11 @@ def exp_plan(eps: float) -> TruncationPlan:
     n = 0
     while 2.0 / math.factorial(n + 1) > eps:
         n += 1
-    coeffs = [DEFAULT_EXP_SCALE / math.factorial(k) for k in range(n + 1)]
+    plan = PolynomialSpec([DEFAULT_EXP_SCALE / math.factorial(k) for k in range(n + 1)])
     tail = DEFAULT_EXP_SCALE * 2.0 / math.factorial(n + 1)
-    pts = disk_samples(1000)
-    plan = PolynomialSpec(coeffs)
-    target = DEFAULT_EXP_SCALE * np.exp(pts)
-    _check_on_disk(plan(pts), target, max(tail, eps), "exponential truncation")
+    _check_on_disk(
+        plan, lambda z: DEFAULT_EXP_SCALE * np.exp(z), max(tail, eps), "exponential truncation"
+    )
     return TruncationPlan(order=n, coefficients=plan, certified_error=tail)
 
 

@@ -38,12 +38,6 @@ SYNTHESIZE_GRID = 4096  # `synthesize` reports its residual on these roots of un
 # deterministic JSON
 
 
-def _format_float(x: float) -> str:
-    if x != x or x in (float("inf"), float("-inf")):
-        raise ValidationError("cannot serialize non-finite float", module=_MOD)
-    return f"{x:.17g}"
-
-
 def emit_json(obj) -> str:
     """Serialize with stable key order and 17-significant-digit floats.
 
@@ -65,7 +59,9 @@ def emit_json(obj) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return _format_float(float(obj))
+        if not math.isfinite(obj):
+            raise ValidationError("cannot serialize non-finite float", module=_MOD)
+        return f"{float(obj):.17g}"
     if isinstance(obj, str):
         return json.dumps(obj)
     if obj is None:
@@ -221,6 +217,12 @@ def _transform_report_payload(report: evt.TransformReport) -> dict:
     }
 
 
+def _transform_exit(report: evt.TransformReport, tolerance: float) -> int:
+    """Pass when achieved_error <= tolerance * max(1, ||P(A)||): relative past norm 1."""
+    scale = max(1.0, operator_norm(report.oracle_block))
+    return EXIT_OK if report.achieved_error <= tolerance * scale else EXIT_THRESHOLD
+
+
 def _resolve_polynomial(args) -> PolynomialSpec:
     chosen = [k for k in ("coeffs", "inverse", "exp") if getattr(args, k, None)]
     if len(chosen) != 1:
@@ -243,7 +245,7 @@ def _cmd_transform(args) -> int:
     poly = _resolve_polynomial(args)
     report = evt.transform(a, poly)
     _write(args.report, emit_json(_transform_report_payload(report)))
-    return EXIT_OK if report.achieved_error <= args.tolerance else EXIT_THRESHOLD
+    return _transform_exit(report, args.tolerance)
 
 
 def _cmd_verify(args) -> int:
@@ -251,25 +253,20 @@ def _cmd_verify(args) -> int:
     target = load_matrix(args.matrix)
     if target.shape[0] != target.shape[1]:
         raise ValidationError("target matrix must be square", module=_MOD)
-    be = encoding.BlockEncoding(
-        unitary=unitary, ancilla_qubits=args.ancillas, system_dim=target.shape[0]
-    )
+    be = encoding.BlockEncoding(unitary, args.ancillas, target.shape[0])
     errors = encoding.regularity_profile(be, target, max(args.order, 1))
-    order = encoding._order_from_profile(errors, args.tolerance)
+    order = encoding.regularity_order(errors, args.tolerance)
     lines = [emit_json({"k": k, "error": err}) for k, err in enumerate(errors, start=1)]
     lines.append(emit_json({"order": order, "requested": args.order, "tolerance": args.tolerance}))
     _write(args.report, "\n".join(lines))
     return EXIT_OK if order >= args.order else EXIT_THRESHOLD
 
 
-def _random_contraction(rng: np.random.Generator, dim: int, norm: float) -> np.ndarray:
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return norm * g / operator_norm(g)
-
-
 def _cmd_demo(args) -> int:
     if args.which != "jordan":
-        a = _random_contraction(np.random.default_rng(args.seed), 4, 0.9)
+        rng = np.random.default_rng(args.seed)
+        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        a = 0.9 * g / operator_norm(g)  # a random contraction of norm 0.9
         if args.which == "inverse":
             plan = analytic.shifted_inverse_plan(2.0, 1e-3)
             reference = np.linalg.inv(2.0 * np.eye(4) - a)
@@ -296,7 +293,7 @@ def _cmd_demo(args) -> int:
         }
     payload["report"] = _transform_report_payload(report)
     _write(args.report, emit_json(payload))
-    return EXIT_OK if report.achieved_error <= args.tolerance else EXIT_THRESHOLD
+    return _transform_exit(report, args.tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -336,9 +333,10 @@ def build_parser() -> argparse.ArgumentParser:
         "by exact dense simulation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    relative = "pass when achieved_error <= TOLERANCE * max(1, ||P(A)||)"
 
-    def common(p):
-        p.add_argument("--tolerance", type=_tolerance, default=1e-8, help="pass/fail threshold")
+    def common(p, rule="pass/fail threshold"):
+        p.add_argument("--tolerance", type=_tolerance, default=1e-8, help=rule)
         p.add_argument("--report", default=None, help="write output here instead of stdout")
 
     p = sub.add_parser("dilate", help="embed a contraction in a one-ancilla unitary")
@@ -363,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inverse", default=None, metavar="C", help="shifted inverse 1/(c - z)")
     p.add_argument("--exp", action="store_true", help="scaled exponential e^z / 3")
     p.add_argument("--eps", type=float, default=1e-8, help="truncation accuracy for builtins")
-    common(p)
+    common(p, relative)
     p.set_defaults(func=_cmd_transform)
 
     p = sub.add_parser("verify", help="measure the regularity order of an encoding")
@@ -377,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("demo", help="run a worked example end to end")
     p.add_argument("which", choices=("inverse", "exp", "jordan"))
     p.add_argument("--seed", type=_count, default=0, help="seed for the random matrix")
-    common(p)
+    common(p, relative)
     p.set_defaults(func=_cmd_demo)
 
     return parser

@@ -1,8 +1,10 @@
-"""Block-encodings: construction, decoding, verification, regularity order.
+"""Block-encodings: construction, decoding, and n-regularity.
 
 A unitary U with a ancilla qubits block-encodes a d x d matrix A up to
 error eps when the top-left d x d block of U (ancillas most significant,
 projected onto their all-zero state) is within eps of A in operator norm.
+It is n-regular when the block of U^k is within k*tol + REGULARITY_FLOOR of
+A^k for every k <= n: regularity_profile measures, regularity_order decides.
 """
 
 from __future__ import annotations
@@ -89,59 +91,31 @@ def dilate(a_mat) -> BlockEncoding:
     return BlockEncoding(unitary=u, ancilla_qubits=1, system_dim=d)
 
 
-def _target(be: BlockEncoding, a_mat) -> np.ndarray:
-    """a_mat as a square matrix of the dimension that ``be`` encodes."""
-    a = ensure_square(a_mat, name="target matrix")
-    if a.shape[0] != be.system_dim:
-        raise ValidationError(
-            f"target dimension {a.shape[0]} != encoded system dimension {be.system_dim}",
-            module=_MOD,
-        )
-    return a
-
-
-def verify_encoding(be: BlockEncoding, a_mat, eps: float) -> bool:
-    """True iff the encoded block is within eps of a_mat in operator norm."""
-    a = _target(be, a_mat)
-    return operator_norm(top_left_block(be) - a) <= as_real(eps, "tolerance", _MOD)
-
-
 def regularity_profile(be: BlockEncoding, a_mat, k_max: int) -> list[float]:
     """Per-power encoding errors ||top_left(U^k) - A^k|| for k = 1..k_max.
 
-    Only the d columns of U^k with the ancillas at zero are carried, one
-    product U @ columns per power; U^k itself is never formed.
+    The first entry is the encoding error itself. Only the d columns of U^k
+    with the ancillas at zero are carried, from U[:, :d]; U^k is never formed.
     """
-    a = _target(be, a_mat)
+    a = ensure_square(a_mat, name="target matrix")
     d = be.system_dim
-    columns = np.eye(be.dim, d, dtype=np.complex128)
-    a_power = np.eye(d, dtype=np.complex128)
-    errors = []
-    for _ in range(as_count(k_max, "k_max", _MOD, least=1)):
-        columns = be.unitary @ columns
-        a_power = a_power @ a
+    if a.shape[0] != d:
+        message = f"target dimension {a.shape[0]} != encoded system dimension {d}"
+        raise ValidationError(message, module=_MOD)
+    columns, a_power = be.unitary[:, :d], a
+    errors = [operator_norm(columns[:d] - a_power)]
+    for _ in range(as_count(k_max, "k_max", _MOD, least=1) - 1):
+        columns, a_power = be.unitary @ columns, a_power @ a
         errors.append(operator_norm(columns[:d] - a_power))
     return errors
 
 
-def regularity_order(be: BlockEncoding, a_mat, tol: float, k_max: int) -> int:
-    """Largest k <= k_max with ||top_left(U^j) - A^j|| <= j*tol + 1e-10 for all j <= k.
+def regularity_order(errors, tol: float) -> int:
+    """Largest k with errors[j-1] <= j*tol + REGULARITY_FLOOR for all j <= k.
 
-    The k = 0 case (identity) always passes. The k = 1 case failing means the
-    input is not a block-encoding of a_mat at this tolerance, which is an error.
-    """
+    ``errors`` is a regularity_profile. A NaN ends the order; 0 means U does not
+    encode the target at this tolerance."""
     tol = as_real(tol, "tolerance", _MOD)
-    errors = regularity_profile(be, a_mat, k_max)
-    if not errors[0] <= tol + REGULARITY_FLOOR:
-        raise ValidationError(
-            f"not a block-encoding at tolerance {tol:.3e}: k=1 error is {errors[0]:.3e}",
-            module=_MOD,
-        )
-    return _order_from_profile(errors, tol)
-
-
-def _order_from_profile(errors: list[float], tol: float) -> int:
-    """Largest k with errors[j-1] <= j*tol + 1e-10 for all j <= k (0 if k = 1 fails)."""
     order = 0
     for k, err in enumerate(errors, start=1):
         if not err <= k * tol + REGULARITY_FLOOR:  # True on NaN

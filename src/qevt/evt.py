@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import dilate, top_left_block
+from .encoding import dilate, regularity_profile, top_left_block
 from .errors import NormBoundError, ValidationError, as_count, as_real
 from .gqsp import GqspSequence, _grid_residual, _signal_block, synthesize
 from .linalg import PolynomialSpec, as_polynomial, ensure_square, horner_eval, operator_norm
@@ -126,7 +126,7 @@ def transform(a_mat, p) -> TransformReport:
     oracle = horner_eval(p, a)
     achieved = operator_norm(result - oracle)
 
-    encoding_eps = operator_norm(top_left_block(encoding) - a_enc)
+    encoding_eps = regularity_profile(encoding, a_enc, 1)[0]
     synth_residual = _grid_residual(seq, p_enc, 1024)
     predicted = perturbation_bound(degree, encoding_eps) + synth_residual / seq.scale
 

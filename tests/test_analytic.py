@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from qevt import analytic
 from qevt.analytic import (
     JordanForm,
     assemble_from_jordan,
@@ -14,7 +15,7 @@ from qevt.analytic import (
     shifted_inverse_plan,
     taylor_truncation_order,
 )
-from qevt.errors import ValidationError
+from qevt.errors import NumericalError, ValidationError
 from qevt.evt import transform
 from qevt.linalg import PolynomialSpec, horner_eval, operator_norm
 
@@ -75,6 +76,73 @@ class TestShiftedInversePlan:
     def test_monotone_in_eps(self):
         orders = [shifted_inverse_plan(1.7, eps).order for eps in (1e-2, 1e-4, 1e-8)]
         assert orders == sorted(orders)
+
+
+class TestDiskCheck:
+    # the sample error of each of these is above max(tail, eps), below it
+    # plus the rounding of the check's own evaluations
+    @pytest.mark.parametrize(
+        "build, order",
+        [
+            (lambda: shifted_inverse_plan(1.01, 1e-14), 3703),
+            (lambda: shifted_inverse_plan(1.1, 1e-15), 387),
+            (lambda: shifted_inverse_plan(2.0, 1e-16), 54),
+            (lambda: exp_plan(1e-16), 18),
+            (lambda: exp_plan(1e-300), 167),
+        ],
+        ids=["inverse-1.01", "inverse-1.1", "inverse-2", "exp-1e-16", "exp-1e-300"],
+    )
+    def test_rounding_is_allowed_for(self, build, order):
+        assert build().order == order
+
+    @pytest.mark.parametrize(
+        "build, wrong",
+        [
+            # 1/c^k instead of 1/c^(k+1): off by a factor c everywhere
+            (lambda: shifted_inverse_plan(1.01, 1e-8), lambda cs: [1.01 * x for x in cs]),
+            # degree 29949, one coefficient off by 1e-3
+            (
+                lambda: shifted_inverse_plan(1.001, 1e-10),
+                lambda cs: cs[:100] + [cs[100] + 1e-3] + cs[101:],
+            ),
+            (lambda: exp_plan(1e-16), lambda cs: cs[:5] + [cs[5] * (1 + 1e-9)] + cs[6:]),
+        ],
+        ids=["inverse-power-shift", "inverse-one-coefficient", "exp-one-coefficient"],
+    )
+    def test_wrong_plans_still_fail(self, monkeypatch, build, wrong):
+        monkeypatch.setattr(analytic, "PolynomialSpec", lambda cs: PolynomialSpec(wrong(cs)))
+        with pytest.raises(NumericalError, match="exceeds the certified bound") as info:
+            build()
+        assert info.value.module == "analytic"
+
+
+class TestRunawayOrder:
+    def built(self, _coefficients):
+        raise AssertionError("coefficients built past the order cap")
+
+    def test_order_past_the_cap_is_an_input_error(self, monkeypatch):
+        # (1.01, 1e-14) has order 3703: a cap of 100 must refuse it before the
+        # coefficients reach PolynomialSpec
+        monkeypatch.setattr(analytic, "MAX_TRUNCATION_ORDER", 100)
+        monkeypatch.setattr(analytic, "PolynomialSpec", self.built)
+        with pytest.raises(ValidationError, match="truncation order 3703 ") as info:
+            shifted_inverse_plan(1.01, 1e-14)
+        assert info.value.module == "analytic"
+
+    def test_cap_admits_the_largest_documented_plan(self):
+        assert shifted_inverse_plan(1.001, 1e-10).order == 29949 < analytic.MAX_TRUNCATION_ORDER
+
+    @pytest.mark.parametrize(
+        "c, eps",
+        [(1.5, 5e-324), (1.5, 1e-310), (1 + 2**-52, 1e-300)],
+        ids=["product-underflows", "reciprocal-overflows", "pole-at-one-ulp"],
+    )
+    def test_reach_below_the_float_range(self, monkeypatch, c, eps):
+        # 1/((|c| - 1) eps) divides by zero or overflows: an input error, not a bare one
+        monkeypatch.setattr(analytic, "PolynomialSpec", self.built)
+        with pytest.raises(ValidationError, match="is below the float range") as info:
+            shifted_inverse_plan(c, eps)
+        assert info.value.module == "analytic"
 
 
 class TestExpPlan:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qevt import cli, gqsp
-from qevt.encoding import BlockEncoding, dilate, verify_encoding
+from qevt.encoding import BlockEncoding, dilate, regularity_order, regularity_profile
 from qevt.errors import ValidationError
 from qevt.linalg import PolynomialSpec
 from qevt.regularize import regularize
@@ -286,7 +286,7 @@ class TestDilateCommand:
             ancilla_qubits=payload["ancillas"],
             system_dim=payload["system_dim"],
         )
-        assert verify_encoding(be, a, 1e-10)
+        assert regularity_order(regularity_profile(be, a, 1), 1e-10) == 1
 
 
 class TestRegularizeCommand:
@@ -429,6 +429,56 @@ class TestTransformCommand:
         assert code == 1
         assert report.exists()
         assert json.loads(report.read_text())["achieved_error"] > 0
+
+    def test_tolerance_is_relative_past_norm_one(self, tmp_path, capsys):
+        # ||A|| = 1e10: an achieved error of ~1e-6 is ~1e-16 relative to ||P(A)||
+        a = random_contraction(rng_for(0), 3, 1e10)
+        matrix = write_matrix(tmp_path / "a.json", a)
+        linear = write_poly(tmp_path / "p.json", [0.5, 0.5])
+        assert cli.main(["transform", matrix, "--coeffs", linear]) == 0
+        achieved = json.loads(capsys.readouterr().out)["achieved_error"]
+        relative = achieved / float(np.linalg.norm(0.5 * np.eye(3) + 0.5 * a, 2))
+        assert achieved > 1e-8 and relative < 1e-14
+        for tolerance, code in ((2 * relative, 0), (relative / 2, 1), (0, 1)):
+            argv = ["transform", matrix, "--coeffs", linear, "--tolerance", repr(tolerance)]
+            assert cli.main(argv) == code
+        capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "source",
+        [["--inverse", "2", "--eps", "1e-16"], ["--exp", "--eps", "1e-16"]],
+        ids=["inverse-2", "exp"],
+    )
+    def test_plan_below_rounding_passes(self, tmp_path, capsys, source):
+        # the planners' disk check allows for the rounding of its own evaluations
+        matrix = write_matrix(tmp_path / "a.json", random_contraction(rng_for(5), 3, 0.8))
+        assert cli.main(["transform", matrix, *source]) == 0
+        assert json.loads(capsys.readouterr().out)["achieved_error"] <= 1e-12
+
+    def test_runaway_inverse_order_exits_2(self, tmp_path):
+        # order 39,143,943,279: refused before a coefficient is built. The child
+        # runs under a 1 GiB address-space limit, so a regression that builds
+        # them fails with a MemoryError instead of exhausting the machine
+        matrix = write_matrix(tmp_path / "a.json", 0.5 * np.eye(2))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+        def limit_memory():
+            import resource
+
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "qevt.cli", "transform", matrix, "--inverse", "1.000000001"],
+            capture_output=True, text=True, timeout=60, preexec_fn=limit_memory,
+            env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"},
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["module"] == "analytic" and error["exit"] == 2
+        assert error["error"].startswith("truncation order 39143943279 ")
 
     def test_inverse_builtin(self, tmp_path, capsys):
         rng = rng_for(5)
@@ -655,6 +705,24 @@ class TestVerifyCommand:
         assert code == 1
         summary = json.loads(report.read_text().strip().splitlines()[-1])
         assert summary["order"] == 0
+
+    @pytest.mark.parametrize(
+        "shift, code, order",
+        # k = 1 decides: ||E|| = 5e-11 is under the floor at tolerance 0, 1e-3 I is not
+        [("random", 0, 1), ("identity", 1, 0)],
+        ids=["under-floor", "off-by-1e-3"],
+    )
+    def test_first_power_at_tolerance_zero(self, tmp_path, capsys, shift, code, order):
+        rng = rng_for(0)
+        a = random_contraction(rng, 3, 0.8)
+        e = random_complex(rng, (3, 3))
+        e = 5e-11 * e / np.linalg.norm(e, 2) if shift == "random" else 1e-3 * np.eye(3)
+        unitary = write_matrix(tmp_path / "u.json", np.asarray(dilate(a).unitary))
+        matrix = write_matrix(tmp_path / "a.json", a + e)
+        argv = ["verify", unitary, matrix, "--ancillas", "1", "--order", "1", "--tolerance", "0"]
+        assert cli.main(argv) == code
+        summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert summary == {"order": order, "requested": 1, "tolerance": 0.0}
 
     def test_bare_unitary_is_arbitrarily_regular(self, tmp_path):
         u = random_unitary(rng_for(9), 3)

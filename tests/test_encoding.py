@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -9,9 +11,9 @@ from qevt.encoding import (
     regularity_order,
     regularity_profile,
     top_left_block,
-    verify_encoding,
 )
 from qevt.errors import NormBoundError, ValidationError
+from qevt.linalg import operator_norm
 from qevt.regularize import regularize
 
 from helpers import opnorm, random_complex, random_contraction, random_unitary, rng_for
@@ -101,6 +103,14 @@ class TestTopLeftBlock:
             a = random_contraction(rng, dim, 0.8)
             assert opnorm(top_left_block(dilate(a)) - a) <= 1e-10
 
+    def test_encoded_block_is_contraction(self):
+        # any valid encoding satisfies ||encoded block|| <= 1
+        rng = rng_for(7)
+        for dim in (2, 4):
+            u = random_unitary(rng, 4 * dim)
+            be = BlockEncoding(unitary=u, ancilla_qubits=2, system_dim=dim)
+            assert opnorm(top_left_block(be)) <= 1 + 1e-9
+
 
 class TestDilate:
     def test_zero_matrix(self):
@@ -137,16 +147,31 @@ class TestDilate:
         )
 
     def test_boundary_contraction(self):
-        # norm exactly 1 must not fail and must verify tightly
+        # norm exactly 1 must not fail, and its block is A itself
         rng = rng_for(4)
         a = random_contraction(rng, 3, 1.0)
-        assert verify_encoding(dilate(a), a, 1e-10)
+        assert regularity_profile(dilate(a), a, 1) == [0.0]
 
 
-class TestVerifyEncoding:
-    def test_exact_dilation(self):
-        a = random_contraction(rng_for(5), 4, 0.7)
-        assert verify_encoding(dilate(a), a, 1e-12)
+def order_of(be, a, tol, k_max):
+    return regularity_order(regularity_profile(be, a, k_max), tol)
+
+
+class TestRegularityOrder:
+    def test_plain_dilation_is_only_1_regular(self):
+        a = random_contraction(rng_for(8), 3, 0.8)
+        assert order_of(dilate(a), a, 1e-8, 8) == 1
+
+    def test_unitary_is_infinitely_regular(self):
+        u = random_unitary(rng_for(9), 3)
+        be = BlockEncoding(unitary=u, ancilla_qubits=0, system_dim=3)
+        for k_max in (16, 64):
+            assert order_of(be, u, 1e-10, k_max) == k_max
+
+    def test_regularized_reaches_requested_order(self):
+        a = random_contraction(rng_for(10), 3, 0.8)
+        reg = regularize(dilate(a), 4)
+        assert order_of(reg.base, a, 1e-8, 4) >= 4
 
     def test_perturbation_thresholds(self):
         rng = rng_for(6)
@@ -154,71 +179,66 @@ class TestVerifyEncoding:
         e = random_complex(rng, (4, 4))
         e *= 1e-3 / opnorm(e)
         be = dilate(a)
-        assert verify_encoding(be, a + e, 1e-2)
-        assert not verify_encoding(be, a + e, 1e-4)
+        assert order_of(be, a + e, 1e-2, 1) == 1
+        assert order_of(be, a + e, 1e-4, 1) == 0
 
-    def test_dimension_mismatch(self):
-        be = dilate(np.zeros((2, 2)))
-        with pytest.raises(ValidationError):
-            verify_encoding(be, np.zeros((3, 3)), 1e-6)
+    @pytest.mark.parametrize(
+        "shift, tol, order",
+        [
+            # ||E|| = 5e-11 is under the floor at tolerance 0
+            ("random", 0.0, 1),
+            # the k = 1 error fails: order 0, not an error
+            ("identity", 1e-8, 0),
+        ],
+        ids=["under-floor", "not-an-encoding"],
+    )
+    def test_k1_decides_between_order_0_and_1(self, shift, tol, order):
+        rng = rng_for(0)
+        a = random_contraction(rng, 3, 0.8)
+        e = random_complex(rng, (3, 3))
+        e = 5e-11 * e / opnorm(e) if shift == "random" else 1e-3 * np.eye(3)
+        assert order_of(dilate(a), a + e, tol, 4) == order
 
-    def test_rejects_negative_tolerance(self):
-        a = np.zeros((2, 2))
-        with pytest.raises(ValidationError, match="tolerance must be nonnegative"):
-            verify_encoding(dilate(a), a, -1e-6)
+    @pytest.mark.parametrize(
+        "errors, tol, order",
+        [
+            ([2e-10], 0.0, 0),
+            ([1e-8 + 1e-10, 2e-8 + 1e-10, 3e-8 + 2e-10], 1e-8, 2),
+            ([0.0, 0.0], 1, 2),
+            ([0.0, 0.0], np.float32(1e-8), 2),
+        ],
+        ids=["past-floor", "per-power", "int-tol", "numpy-tol"],
+    )
+    def test_rule(self, errors, tol, order):
+        # err_j <= j*tol + REGULARITY_FLOOR for every j <= k
+        assert regularity_order(errors, tol) == order
 
-    def test_rejects_nan_tolerance(self):
-        # NaN compares false with every error: it must not read as a silent False
-        a = np.zeros((2, 2))
-        with pytest.raises(ValidationError, match="nonnegative and finite, got nan") as info:
-            verify_encoding(dilate(a), a, np.nan)
-        assert info.value.module == "encoding"
-
-    def test_encoded_block_is_contraction(self):
-        # any valid encoding satisfies ||encoded block|| <= 1
-        rng = rng_for(7)
-        for dim in (2, 4):
-            u = random_unitary(rng, 4 * dim)
-            be = BlockEncoding(unitary=u, ancilla_qubits=2, system_dim=dim)
-            assert opnorm(top_left_block(be)) <= 1 + 1e-9
-
-
-class TestRegularityOrder:
-    def test_plain_dilation_is_only_1_regular(self):
-        a = random_contraction(rng_for(8), 3, 0.8)
-        assert regularity_order(dilate(a), a, 1e-8, 8) == 1
-
-    def test_unitary_is_infinitely_regular(self):
-        u = random_unitary(rng_for(9), 3)
-        be = BlockEncoding(unitary=u, ancilla_qubits=0, system_dim=3)
-        for k_max in (16, 64):
-            assert regularity_order(be, u, 1e-10, k_max) == k_max
-
-    def test_regularized_reaches_requested_order(self):
-        a = random_contraction(rng_for(10), 3, 0.8)
-        reg = regularize(dilate(a), 4)
-        assert regularity_order(reg.base, a, 1e-8, 4) >= 4
-
-    def test_errors_when_not_an_encoding(self):
-        a = random_contraction(rng_for(11), 3, 0.8)
-        with pytest.raises(ValidationError, match="not a block-encoding"):
-            regularity_order(dilate(a), a + 0.1 * np.eye(3), 1e-8, 4)
-
-    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-8], ids=["nan", "inf", "negative"])
+    @pytest.mark.parametrize(
+        "tol",
+        [np.nan, np.inf, -1e-8, "x", True],
+        ids=["nan", "inf", "negative", "text", "bool"],
+    )
     def test_rejects_invalid_tolerance(self, tol):
         # a plain dilation is only 1-regular: no tolerance may report it as 8-regular
         a = random_contraction(rng_for(8), 3, 0.8)
-        with pytest.raises(ValidationError, match="nonnegative and finite") as info:
-            regularity_order(dilate(a), a, tol, 8)
+        profile = regularity_profile(dilate(a), a, 8)
+        message = re.escape(f"tolerance must be nonnegative and finite, got {tol!r}")
+        with pytest.raises(ValidationError, match=message) as info:
+            regularity_order(profile, tol)
         assert info.value.module == "encoding"
 
-    def test_nan_error_ends_the_order(self):
-        assert encoding._order_from_profile([1e-12, np.nan, 1e-12], 1e-8) == 1
+    @pytest.mark.parametrize(
+        "errors, order",
+        [([1e-12, np.nan, 1e-12], 1), ([np.nan, 1e-12], 0), ([1e-12, 1e-12, np.nan], 2)],
+        ids=["second", "first", "last"],
+    )
+    def test_nan_error_ends_the_order(self, errors, order):
+        assert regularity_order(errors, 1e-8) == order
 
     def test_monotone_in_tolerance(self):
         a = random_contraction(rng_for(12), 3, 0.8)
-        reg = regularize(dilate(a), 4)
-        orders = [regularity_order(reg.base, a, tol, 8) for tol in (1e-4, 1e-8, 1e-12)]
+        profile = regularity_profile(regularize(dilate(a), 4).base, a, 8)
+        orders = [regularity_order(profile, tol) for tol in (1e-4, 1e-8, 1e-12)]
         assert orders == sorted(orders, reverse=True)
 
 
@@ -238,6 +258,24 @@ class TestRegularityProfile:
             profile = regularity_profile(be, a, k_max)
             assert max(dense[order:]) > 1e-3
             assert np.max(np.abs(np.subtract(profile, dense))) <= 1e-14
+
+    def test_exact_dilation(self):
+        a = random_contraction(rng_for(5), 4, 0.7)
+        assert regularity_profile(dilate(a), a, 1) == [0.0]
+
+    @pytest.mark.parametrize("ancillas", [1, 2, 3])
+    def test_first_entry_is_the_block_error(self, ancillas):
+        # bitwise: transform reads its encoding error from this entry
+        rng = rng_for(14 + ancillas)
+        for d in (1, 3, 4):
+            a = random_contraction(rng, d, 0.8)
+            encodings = [BlockEncoding(random_unitary(rng, 2**ancillas * d), ancillas, d)]
+            if ancillas == 1:
+                encodings.append(dilate(a))
+            for be in encodings:
+                for target in (a, a + 1e-3 * random_complex(rng, (d, d))):
+                    expected = operator_norm(top_left_block(be) - target)
+                    assert regularity_profile(be, target, 1)[0] == expected
 
     @pytest.mark.parametrize(
         "target, k_max, message",
