@@ -4,15 +4,16 @@ Each planner returns the coefficient vector of a truncated power series
 with a certified uniform error bound on the closed unit disk, checked on a
 deterministic disk sample up to the rounding of the check itself. Jordan
 utilities build matrices from a prescribed Jordan form and evaluate
-polynomials on single Jordan blocks through exact derivative shifts; no
-numerical Jordan decomposition of arbitrary input is attempted (that
-problem is ill-posed).
+polynomials on single Jordan blocks from their Taylor coefficients at the
+eigenvalue, by repeated synthetic division; no numerical Jordan
+decomposition of arbitrary input is attempted (that problem is ill-posed).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -78,8 +79,8 @@ def shifted_inverse_plan(c: complex, eps: float) -> TruncationPlan:
     """Geometric-series truncation of 1/(c - z) for a pole outside the disk.
 
     Coefficients are 1/c^{k+1}; the order N = ceil(log_|c|(1/(eta eps)))
-    with eta = |c| - 1 makes the geometric tail at most eps on the disk. An
-    order past MAX_TRUNCATION_ORDER or the float range is a ValidationError.
+    with eta = |c| - 1 makes the geometric tail at most eps on the disk. An order past
+    MAX_TRUNCATION_ORDER, or a 1/(eta eps) or |c|^(N+1) past the float range, is a ValidationError.
     """
     c = as_complex(c, "the pole c", _MOD)
     eps = as_real(eps, "eps", _MOD, above=0)
@@ -93,7 +94,11 @@ def shifted_inverse_plan(c: complex, eps: float) -> TruncationPlan:
     if n > MAX_TRUNCATION_ORDER:
         message = f"truncation order {n} for |c| = {mod!r}, eps = {eps!r}"
         raise ValidationError(f"{message} exceeds the cap {MAX_TRUNCATION_ORDER}", module=_MOD)
-    plan = PolynomialSpec([1.0 / c ** (k + 1) for k in range(n + 1)])
+    try:
+        plan = PolynomialSpec([1.0 / c ** (k + 1) for k in range(n + 1)])
+    except OverflowError:  # c^(k+1) is past the float range
+        message = f"|c|^(N + 1) = {mod!r}^{n + 1} is above the float range"
+        raise ValidationError(message, module=_MOD) from None
     tail = mod ** -(n + 1) / eta
     _check_on_disk(plan, lambda z: 1.0 / (c - z), max(tail, eps), "shifted inverse truncation")
     return TruncationPlan(order=n, coefficients=plan, certified_error=tail)
@@ -128,12 +133,17 @@ def taylor_truncation_order(r: float, m: float, eps: float) -> int:
 
     For f analytic and bounded by m on |z| < r, keeping the Taylor terms up
     to N = ceil(log_r(m / ((r-1) eps))) leaves a tail of at most eps on the
-    closed unit disk.
+    closed unit disk. An m / ((r-1) eps) past the float range is a ValidationError.
     """
     r = as_real(r, "radius", _MOD, above=1)
     m = as_real(m, "bound", _MOD, above=0)
     eps = as_real(eps, "eps", _MOD, above=0)
-    return max(0, math.ceil(math.log(m / ((r - 1.0) * eps), r)))
+    try:
+        ratio = m / ((r - 1.0) * eps)
+        return math.ceil(math.log(ratio, r)) if ratio > 1.0 else 0  # log(0) if it underflows
+    except (ZeroDivisionError, OverflowError):  # (r - 1) eps is 0, or the ratio inf
+        message = f"m / ((r - 1) * eps) = {m!r} / ({r - 1.0!r} * {eps!r}) is above the float range"
+        raise ValidationError(message, module=_MOD) from None
 
 
 def jordan_block(eigenvalue: complex, size: int) -> np.ndarray:
@@ -146,16 +156,18 @@ def jordan_block(eigenvalue: complex, size: int) -> np.ndarray:
 
 
 def jordan_poly(p, eigenvalue: complex, size: int) -> np.ndarray:
-    """P applied to a Jordan block: upper-triangular Toeplitz of P^(k)(lambda)/k!."""
+    """P applied to a Jordan block: upper-triangular Toeplitz of P^(k)(lambda)/k!, the Taylor
+    coefficients of P at lambda. Each is the remainder of one more synthetic division by
+    z - lambda (Horner's scheme): no factorial or derivative is formed; k > deg P gives 0."""
     eigenvalue = as_complex(eigenvalue, "eigenvalue", _MOD)
     size = as_count(size, "block size", _MOD, least=1)
-    p = as_polynomial(p)
+    coeffs = as_polynomial(p).coefficients
     out = np.zeros((size, size), dtype=np.complex128)
-    deriv = p
-    for k in range(size):
-        value = complex(deriv(eigenvalue)) / math.factorial(k)
-        np.fill_diagonal(out[:, k:], value)  # the k-th superdiagonal
-        deriv = deriv.derivative()
+    for k in range(min(size, len(coeffs))):
+        # Horner's partial sums, highest first: the quotient's coefficients, then P(lambda)
+        *quotient, remainder = accumulate(reversed(coeffs), lambda q, c: q * eigenvalue + c)
+        np.fill_diagonal(out[:, k:], remainder)  # the k-th superdiagonal
+        coeffs = quotient[::-1]
     return out
 
 

@@ -2,7 +2,8 @@
 
 A unitary U with a ancilla qubits block-encodes a d x d matrix A up to
 error eps when the top-left d x d block of U (ancillas most significant,
-projected onto their all-zero state) is within eps of A in operator norm.
+projected onto their all-zero state) is within eps of A in operator norm;
+U is unitary by linalg.as_unitary's rule, to UNITARITY_TOL.
 It is n-regular when the block of U^k is within k*tol + REGULARITY_FLOOR of
 A^k for every k <= n: regularity_profile measures, regularity_order decides.
 """
@@ -14,11 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NormBoundError, ValidationError, as_count, as_real
-from .linalg import ensure_square, operator_norm
+from .linalg import UNITARITY_TOL, as_unitary, ensure_square, operator_norm
 
 _MOD = "encoding"
 
-UNITARITY_TOL = 1e-9
 NORM_SLACK = 1e-12
 REGULARITY_FLOOR = 1e-10
 
@@ -32,27 +32,13 @@ class BlockEncoding:
     system_dim: int
 
     def __post_init__(self):
-        u = ensure_square(self.unitary, name="encoding unitary")
+        u = as_unitary(self.unitary, "block encoding", _MOD, tol=UNITARITY_TOL)
         a = as_count(self.ancilla_qubits, "ancilla count", _MOD)
         d = as_count(self.system_dim, "system dimension", _MOD, least=1)
         # 2^a > dim cannot match; rejecting that first never builds a power of
         # two with thousands of digits, nor formats one into a message
         if a >= len(u).bit_length() or 2**a * d != len(u):
             raise ValidationError(f"unitary dimension {len(u)} != 2^{a} * {d}", module=_MOD)
-        # ||E|| <= ||E||_F, so a small Frobenius norm accepts without the
-        # SVD; otherwise the exact operator norm decides, or is inf where the
-        # product overflowed (finite entries past ~1e154)
-        with np.errstate(over="ignore", invalid="ignore"):
-            defect = u.conj().T @ u - np.eye(u.shape[0])
-            frobenius = np.linalg.norm(defect)
-        if not frobenius <= UNITARITY_TOL:
-            norm = operator_norm(defect) if np.isfinite(defect).all() else np.inf
-            if norm > UNITARITY_TOL:
-                raise ValidationError(
-                    f"matrix is not unitary: ||U^dag U - I|| = {norm:.3e}", module=_MOD
-                )
-        u = u.copy()
-        u.setflags(write=False)
         object.__setattr__(self, "unitary", u)
 
     @property

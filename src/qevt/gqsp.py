@@ -21,7 +21,8 @@ degree-sized grid. Replacing diag(1, z) with the controlled unitary
 diag(I, U) lifts the scalar identity to a block-encoding of P(U) for
 unitary U. That circuit is applied, never formed: the d columns entering
 with the processing qubit at zero are carried through it, and only the
-block they leave in the processing-0 half is returned.
+block they leave in the processing-0 half is returned. The rotations (to
+ROTATION_TOL) and U (to UNITARITY_TOL) are unitary by linalg.as_unitary's rule.
 """
 
 from __future__ import annotations
@@ -31,9 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encoding import BlockEncoding
 from .errors import NormBoundError, NumericalError, ValidationError, _shown, as_array, as_real
-from .linalg import PolynomialSpec, as_polynomial, ensure_square
+from .linalg import UNITARITY_TOL, PolynomialSpec, as_polynomial, as_unitary
 
 _MOD = "gqsp"
 
@@ -54,27 +54,17 @@ STRIP_TOL = 1e-13  # both leading coefficients below this aborts layer stripping
 class GqspSequence:
     """Rotations R_0..R_n realizing scale * P(z); scale is the applied subnormalization."""
 
-    rotations: tuple[np.ndarray, ...]
+    rotations: np.ndarray  # (n + 1, 2, 2), read-only
     scale: float = field(default=1.0)
 
     def __post_init__(self):
         if as_real(self.scale, "subnormalization scale", _MOD, above=0) > 1.0 + 1e-12:
             message = f"subnormalization scale must be at most 1, got {_shown(self.scale)}"
             raise ValidationError(message, module=_MOD)
-        # (n + 1, 2, 2), copied: it is frozen below, and may be the caller's own stack
-        stack = as_array(self.rotations, "rotations", _MOD, ndim=3).copy()
+        stack = as_unitary(self.rotations, "rotations", _MOD, tol=ROTATION_TOL, ndim=3)
         if stack.shape[1:] != (2, 2):
             raise ValidationError(f"rotations must be 2x2, got shape {stack.shape}", module=_MOD)
-        gram = stack.conj().transpose(0, 2, 1) @ stack
-        defects = np.max(np.abs(np.linalg.eigvalsh(gram - np.eye(2))), axis=1)
-        bad = np.flatnonzero(defects > ROTATION_TOL)
-        if bad.size:
-            k = int(bad[0])
-            raise ValidationError(
-                f"rotation {k} is not unitary: defect {defects[k]:.3e}", module=_MOD
-            )
-        stack.setflags(write=False)
-        object.__setattr__(self, "rotations", tuple(stack))
+        object.__setattr__(self, "rotations", stack)
 
     @property
     def degree(self) -> int:
@@ -422,7 +412,7 @@ def synthesize(p) -> GqspSequence:
         )
     rotations[n] = ((const_p, -const_q.conjugate()), (const_q, const_p.conjugate()))
     rotations[n] /= closing
-    return GqspSequence(rotations=tuple(rotations), scale=scale)
+    return GqspSequence(rotations=rotations, scale=scale)
 
 
 def evaluate_scalar(seq: GqspSequence, z):
@@ -462,7 +452,7 @@ def apply_to_operator(seq: GqspSequence, u) -> np.ndarray:
     """Top-left d x d block of (R_0 x I) C(U) (R_1 x I) ... C(U) (R_n x I).
 
     C(U) = diag(I, U) with the processing qubit most significant; the block
-    is the realized polynomial applied to the unitary U, checked as a BlockEncoding.
+    is the realized polynomial applied to U, unitary by ``as_unitary``'s rule.
     """
-    u = BlockEncoding(ensure_square(u, name="signal unitary"), 0, len(u)).unitary
-    return _signal_block(seq, lambda v: u @ v, np.eye(u.shape[0], dtype=np.complex128))
+    u = as_unitary(u, "signal operator", _MOD, tol=UNITARITY_TOL)
+    return _signal_block(seq, lambda v: u @ v, np.eye(len(u), dtype=np.complex128))

@@ -4,8 +4,8 @@ Matrices are plain two-dimensional ``numpy`` arrays with dtype complex128,
 row-major, with finite entries; these helpers validate and operate on them.
 Throughout the package the norm of a matrix is its operator norm (largest
 singular value), and ``operator_norm`` is the one routine that computes it,
-by SVD. In every tensor product the first factor is the more
-significant register.
+by SVD; ``as_unitary`` is the one rule for unitary inputs. In every tensor
+product the first factor is the more significant register.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ import numpy as np
 from .errors import ValidationError, as_array
 
 _MOD = "linalg"
+
+UNITARITY_TOL = 1e-9
 
 
 def as_matrix(values, *, name: str = "matrix") -> np.ndarray:
@@ -35,6 +37,30 @@ def operator_norm(a) -> float:
     """Largest singular value from LAPACK's SVD, which scales internally and forms no
     A^dag A: exact to rounding for finite entries up to the top of the float range."""
     return float(np.linalg.svd(as_matrix(a), compute_uv=False)[0])
+
+
+def as_unitary(values, name: str, module: str, *, tol: float, ndim: int = 2) -> np.ndarray:
+    """A read-only copy of ``as_array(values)``: square matrices U (a stack of them if ndim
+    is 3) with ||U^dag U - I|| <= tol. ||E|| <= ||E||_F, so a small Frobenius norm of the
+    defect E accepts without the SVD; otherwise operator_norm(E) decides: inf where the
+    product overflowed, and a NaN never passes."""
+    u = as_array(values, name, module, ndim=ndim).copy()
+    if u.shape[-1] != u.shape[-2]:
+        raise ValidationError(f"{name} must be square, got shape {u.shape}", module=module)
+    stack = u.reshape(-1, *u.shape[-2:])
+    with np.errstate(over="ignore", invalid="ignore"):  # finite entries past ~1e154
+        defects = stack.conj().transpose(0, 2, 1) @ stack
+        defects -= np.eye(u.shape[-1])  # in place: a new stack for the difference is slower
+        parts = defects.view(np.float64).reshape(len(stack), -1)  # real and imaginary parts
+        frobenius = np.sqrt(np.einsum("ij,ij->i", parts, parts))
+    for k in np.flatnonzero(~(frobenius <= tol)):
+        norm = operator_norm(defects[k]) if np.isfinite(defects[k]).all() else np.inf
+        if norm > tol:
+            where = name if u.ndim == 2 else f"{name}[{k}]"
+            message = f"{where} is not unitary: ||U^dag U - I|| = {norm:.3e} > {tol:g}"
+            raise ValidationError(message, module=module)
+    u.setflags(write=False)
+    return u
 
 
 @dataclass(frozen=True)
@@ -65,13 +91,6 @@ class PolynomialSpec:
     def __call__(self, z):
         """Evaluate at a scalar or array of points."""
         return np.polynomial.polynomial.polyval(np.asarray(z), self.array)
-
-    def derivative(self) -> "PolynomialSpec":
-        """Formal derivative via exact coefficient shifts."""
-        if self.degree == 0:
-            return PolynomialSpec([0.0])
-        shifted = [k * c for k, c in enumerate(self.coefficients)][1:]
-        return PolynomialSpec(shifted)
 
     def scaled(self, factor: complex) -> "PolynomialSpec":
         return PolynomialSpec([factor * c for c in self.coefficients])

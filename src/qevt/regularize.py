@@ -28,6 +28,8 @@ from .errors import ValidationError, _shown, as_count
 
 _MOD = "regularize"
 
+MAX_DENSE_DIM = 2**14  # one complex matrix of this dimension is 4 GiB
+
 
 @dataclass(frozen=True, eq=False)
 class RegularizedEncoding:
@@ -76,12 +78,15 @@ class RegularizedEncoding:
     def base(self) -> BlockEncoding:
         """The dense wrapped encoding (branch shift times I_n tensor U); the source if n = 1.
 
-        Built by applying the wrapped unitary to every basis column.
+        Built by applying the wrapped unitary to every basis column, up to MAX_DENSE_DIM.
         """
         be = self.source
         if self.order == 1:
             return be
         dim = self.order * be.dim
+        if dim > MAX_DENSE_DIM:
+            message = f"dense unitary dimension {self.order} * {be.dim} = {dim}"
+            raise ValidationError(f"{message} exceeds the cap {MAX_DENSE_DIM}", module=_MOD)
         columns = np.eye(dim, dtype=np.complex128).reshape(self.order, be.dim, dim)
         return BlockEncoding(
             unitary=self.apply(columns).reshape(dim, dim),

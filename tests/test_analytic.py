@@ -144,6 +144,24 @@ class TestRunawayOrder:
             shifted_inverse_plan(c, eps)
         assert info.value.module == "analytic"
 
+    @pytest.mark.parametrize(
+        "c, eps, message",
+        [
+            (2.0, 1e-308, "2.0^1025"),
+            (-2j, 1e-308, "2.0^1025"),
+            (2.0, 5.6e-309, "2.0^1025"),
+            (1.5, 1.2e-308, "1.5^1752"),
+        ],
+        ids=["real", "imaginary", "band-edge", "1.5"],
+    )
+    def test_power_past_the_float_range(self, c, eps, message):
+        # 1/((|c| - 1) eps) is finite, but |c|^(N + 1) is not: c^(N + 1) would
+        # raise a bare OverflowError
+        with pytest.raises(ValidationError) as info:
+            shifted_inverse_plan(c, eps)
+        assert str(info.value) == f"|c|^(N + 1) = {message} is above the float range"
+        assert info.value.module == "analytic"
+
 
 class TestExpPlan:
     def test_reference_order(self):
@@ -209,6 +227,22 @@ class TestTaylorTruncationOrder:
         with pytest.raises(ValidationError, match=message):
             taylor_truncation_order(r, m, eps)
 
+    @pytest.mark.parametrize(
+        "r, m, eps, shown",
+        [(2.0, 1e308, 1e-3, "1e+308 / (1.0 * 0.001)"), (1.5, 1.0, 5e-324, "1.0 / (0.5 * 5e-324)")],
+        ids=["quotient-overflows", "product-underflows"],
+    )
+    def test_ratio_past_the_float_range(self, r, m, eps, shown):
+        # a bare OverflowError and ZeroDivisionError before
+        with pytest.raises(ValidationError) as info:
+            taylor_truncation_order(r, m, eps)
+        assert str(info.value) == f"m / ((r - 1) * eps) = {shown} is above the float range"
+        assert info.value.module == "analytic"
+
+    def test_ratio_underflowing_to_zero_needs_no_terms(self):
+        # 5e-324 / 1e300 is 0: log(0) is undefined, and the order is 0
+        assert taylor_truncation_order(1e300, 5e-324, 1.0) == 0
+
     def test_consistent_with_shifted_inverse(self):
         # for f = 1/(c - z): continuation radius |c|, growth set by the pole's
         # distance eta from the unit disk; the generic order then reproduces
@@ -269,6 +303,24 @@ class TestJordanPoly:
             p = PolynomialSpec(random_complex(rng, deg + 1))
             direct = horner_eval(p, jordan_block(lam, size))
             assert opnorm(jordan_poly(p, lam, size) - direct) <= 1e-12
+
+    def test_square_past_the_factorial_range(self):
+        # z^2 on a block of size 200: lambda^2, 2 lambda and 1 on the diagonals, then 0;
+        # 171! is past the float range, so derivative shifts divided by k! overflowed
+        lam = 0.6 - 0.3j
+        out = jordan_poly(PolynomialSpec([0, 0, 1.0]), lam, 200)
+        expected = lam**2 * np.eye(200) + np.diag(np.full(199, 2 * lam), 1) + np.eye(200, k=2)
+        assert np.array_equal(out, expected)
+
+    def test_long_plan_on_a_large_block(self):
+        # the degree-345 inverse plan on a size-130 block: its derivative
+        # coefficients overflowed, and the Taylor shift's entries reach ~1e45
+        p = shifted_inverse_plan(1.05, 1e-6).coefficients
+        assert p.degree == 345
+        out = jordan_poly(p, 0.6, 130)
+        direct = horner_eval(p, jordan_block(0.6, 130))
+        assert np.all(np.isfinite(out))
+        assert opnorm(out - direct) <= 1e-12 * opnorm(direct)
 
     def test_toeplitz_structure(self):
         p = PolynomialSpec(random_complex(rng_for(3), 6))

@@ -242,7 +242,7 @@ ESCAPES = {
     "evaluate_scalar-numeric-text": (lambda: evaluate_scalar(SEQ, "0.5"), "gqsp"),
     "transform-ragged": (lambda: transform([[0.5, 0.1], [0.2]], P), "linalg"),
     "transform-numeric-text": (lambda: transform([["0.5"]], ["1", "0.5"]), "linalg"),
-    "BlockEncoding-ragged": (lambda: BlockEncoding([[1, 0], [0]], 0, 2), "linalg"),
+    "BlockEncoding-ragged": (lambda: BlockEncoding([[1, 0], [0]], 0, 2), "encoding"),
     "assemble_from_jordan-ragged": (
         lambda: assemble_from_jordan(JordanForm([[1, 0], [0]], ((0.5, 2),))),
         "linalg",
@@ -312,6 +312,19 @@ JUNK = ["x", None, True, 2.5, math.nan, math.inf, -math.inf, -1]
 def test_junk_scalar_returns_or_raises_a_library_error(call, junk):
     try:
         call(junk)
+    except QevtError:
+        pass
+
+
+# valid but extreme: the smallest subnormal, the bottom of the normal range, and the top
+EXTREME = [5e-324, 1e-308, 1e308, 1.7976931348623157e308]
+
+
+@pytest.mark.parametrize("extreme", EXTREME, ids=map(repr, EXTREME))
+@pytest.mark.parametrize("call", SCALAR_ARGUMENTS.values(), ids=SCALAR_ARGUMENTS.keys())
+def test_extreme_scalar_returns_or_raises_a_library_error(call, extreme):
+    try:
+        call(extreme)
     except QevtError:
         pass
 

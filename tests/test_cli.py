@@ -321,6 +321,19 @@ class TestRegularizeCommand:
         assert len(lines) == 1
         assert json.loads(lines[0])["exit"] == 2
 
+    def test_order_past_the_dense_cap_exits_2(self, tmp_path, capsys):
+        # 2^40: np.eye raised a bare ValueError; the cap refuses it before allocating
+        enc = tmp_path / "enc.json"
+        assert cli.main(["dilate", write_matrix(tmp_path / "a.json", [[0.5]]), str(enc)]) == 0
+        out = tmp_path / "reg.json"
+        assert cli.main(["regularize", str(enc), str(out), "--order", str(2**40)]) == 2
+        assert not out.exists()
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["module"] == "regularize" and error["exit"] == 2
+        assert error["error"].startswith("dense unitary dimension 1099511627776 * 2 ")
+
     def test_bad_order_exits_2(self, tmp_path):
         a = random_contraction(rng_for(2), 2, 0.7)
         matrix = write_matrix(tmp_path / "a.json", a)
@@ -552,9 +565,14 @@ class TestTransformCommand:
                 ["--exp", "--eps", "1e-320"],
                 "eps must be at least 2/170! = 2.7558e-307, got 1e-320",
             ),
+            # order 1024: 2^1025 is past the float range
+            (
+                ["--inverse", "2", "--eps", "1e-308"],
+                "|c|^(N + 1) = 2.0^1025 is above the float range",
+            ),
         ],
         ids=["inverse-eps-nan", "inverse-eps-inf", "inverse-nan", "inverse-inf",
-             "exp-eps-nan", "exp-eps-inf", "exp-eps-below-range"],
+             "exp-eps-nan", "exp-eps-inf", "exp-eps-below-range", "inverse-power-above-range"],
     )
     def test_non_finite_builtin_exits_2(self, tmp_path, capsys, source, message):
         matrix = write_matrix(tmp_path / "a.json", 0.5 * np.eye(2))

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from qevt import encoding
+from qevt import linalg
 from qevt.encoding import (
     UNITARITY_TOL,
     BlockEncoding,
@@ -52,7 +52,7 @@ class TestBlockEncoding:
         def fail(_):
             raise AssertionError("operator norm computed")
 
-        monkeypatch.setattr(encoding, "operator_norm", fail)
+        monkeypatch.setattr(linalg, "operator_norm", fail)
         BlockEncoding(unitary=random_unitary(rng_for(6), 16), ancilla_qubits=2, system_dim=4)
 
     def test_defect_above_tolerance_reports_operator_norm(self):
@@ -64,7 +64,8 @@ class TestBlockEncoding:
         assert np.linalg.norm(defect) > 2 * opnorm(defect)
         with pytest.raises(ValidationError) as exc:
             BlockEncoding(unitary=u, ancilla_qubits=5, system_dim=1)
-        assert str(exc.value) == f"matrix is not unitary: ||U^dag U - I|| = {opnorm(defect):.3e}"
+        message = f"block encoding is not unitary: ||U^dag U - I|| = {opnorm(defect):.3e} > 1e-09"
+        assert str(exc.value) == message
         assert f"{opnorm(defect):.3e}" == "1.100e-09"
 
     def test_overflowing_gram_product_is_rejected(self):
@@ -76,7 +77,8 @@ class TestBlockEncoding:
                 assert not np.isfinite(np.linalg.norm(u.conj().T @ u - np.eye(2)))
             with pytest.raises(ValidationError) as info:
                 BlockEncoding(unitary=u, ancilla_qubits=1, system_dim=1)
-            assert str(info.value) == "matrix is not unitary: ||U^dag U - I|| = inf"
+            message = "block encoding is not unitary: ||U^dag U - I|| = inf > 1e-09"
+            assert str(info.value) == message
             assert info.value.module == "encoding"
 
     def test_unitary_is_frozen(self):

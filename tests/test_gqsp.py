@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from qevt import gqsp
 from qevt.analytic import shifted_inverse_plan
+from qevt.encoding import BlockEncoding
 from qevt.errors import NormBoundError, NumericalError, ValidationError
 from qevt.gqsp import (
     GqspSequence,
@@ -420,7 +421,7 @@ class TestSynthesize:
 
     def test_non_unitary_rotation_named(self):
         rotations = (X, X, 1.01 * X, X)
-        with pytest.raises(ValidationError, match="rotation 2 is not unitary"):
+        with pytest.raises(ValidationError, match=r"rotations\[2\] is not unitary"):
             GqspSequence(rotations=rotations)
 
     def test_rotations_are_unitary(self):
@@ -489,6 +490,47 @@ class TestGqspSequence:
         seq = GqspSequence(rotations=stack)
         assert stack.flags.writeable and not seq.rotations[0].flags.writeable
         assert np.array_equal(np.array(seq.rotations), stack)
+
+    @pytest.mark.parametrize(
+        "rotation", [[[1e200, 0], [0, 1]], [[1e160, 0], [0, 1e-160]]], ids=["1e200", "1e160"]
+    )
+    def test_rotation_whose_gram_overflows_is_rejected(self, rotation):
+        # R^dag R overflows; an eigvalsh defect of NaN compared False with the tolerance
+        with pytest.raises(ValidationError) as info:
+            GqspSequence(rotations=[X, rotation])
+        assert str(info.value) == "rotations[1] is not unitary: ||U^dag U - I|| = inf > 1e-12"
+        assert info.value.module == "gqsp"
+
+    def test_rotations_are_held_to_the_tighter_tolerance(self):
+        # a defect of 1e-10 lies in (ROTATION_TOL, UNITARITY_TOL]: a rotation is
+        # refused, the same matrix is accepted as a block encoding
+        rotation = X * np.sqrt(1 + 1e-10)
+        with pytest.raises(ValidationError, match=r"rotations\[0\] is not unitary: .* = 1.000e-10"):
+            GqspSequence(rotations=[rotation])
+        BlockEncoding(unitary=rotation, ancilla_qubits=1, system_dim=1)
+
+    def test_decisions_match_an_eigvalsh_reference(self):
+        # stacks of three rotations, one scaled by sqrt(1 + delta) per column with
+        # |delta| from 1e-13 to 1e-11: both the Frobenius and the operator-norm
+        # branch decide, and the stack passes iff every eigenvalue of R^dag R - I
+        # is within ROTATION_TOL
+        rng = rng_for(30)
+        accepted, by_operator_norm = 0, 0
+        for _ in range(200):
+            stack = np.array([random_unitary(rng, 2) for _ in range(3)])
+            deltas = rng.choice([-1, 1], size=2) * 10 ** rng.uniform(-13, -11, size=2)
+            stack[rng.integers(3)] *= np.sqrt(1 + deltas)
+            defects = stack.conj().transpose(0, 2, 1) @ stack - np.eye(2)
+            reference = np.max(np.abs(np.linalg.eigvalsh(defects))) <= gqsp.ROTATION_TOL
+            try:
+                GqspSequence(rotations=stack)
+            except ValidationError:
+                assert not reference
+            else:
+                assert reference
+                accepted += 1
+                by_operator_norm += np.max(np.linalg.norm(defects, axis=(1, 2))) > gqsp.ROTATION_TOL
+        assert 20 <= accepted <= 180 and by_operator_norm >= 1
 
 
 class TestEvaluateScalar:
@@ -562,8 +604,9 @@ class TestApplyToOperator:
         seq = synthesize(PolynomialSpec([0.5]))
         with pytest.raises(ValidationError) as info:
             apply_to_operator(seq, np.eye(2) * 1e200)
-        assert str(info.value) == "matrix is not unitary: ||U^dag U - I|| = inf"
-        assert info.value.module == "encoding"
+        message = "signal operator is not unitary: ||U^dag U - I|| = inf > 1e-09"
+        assert str(info.value) == message
+        assert info.value.module == "gqsp"
 
 
 class TestCircleInvariants:

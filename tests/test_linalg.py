@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from qevt.errors import ValidationError
-from qevt.linalg import PolynomialSpec, as_matrix, horner_eval, operator_norm
+from qevt.linalg import PolynomialSpec, as_matrix, as_unitary, horner_eval, operator_norm
 
-from helpers import naive_poly_apply, opnorm, random_complex, rng_for
+from helpers import naive_poly_apply, opnorm, random_complex, random_unitary, rng_for
 
 
 class TestOperatorNorm:
@@ -67,6 +67,58 @@ class TestOperatorNorm:
                 assert lhs <= k * operator_norm(a - b) + 1e-10
 
 
+class TestAsUnitary:
+    def test_returns_a_read_only_copy(self):
+        u = random_unitary(rng_for(11), 3)
+        got = as_unitary(u, "u", "mod", tol=1e-12)
+        assert np.array_equal(got, u) and got is not u
+        assert u.flags.writeable and not got.flags.writeable
+
+    @pytest.mark.parametrize(
+        "values, ndim, message",
+        [
+            (np.ones((2, 3)), 2, r"u must be square, got shape \(2, 3\)"),
+            (np.ones((4, 2, 3)), 3, r"u must be square, got shape \(4, 2, 3\)"),
+            (np.eye(2), 3, "u must be a nonempty 3-D array"),
+            ([[1, 0], [0]], 2, "u must be numbers in a rectangular array"),
+            ([[np.nan, 0], [0, 1]], 2, "u must be finite"),
+            (0.5 * np.eye(2), 2, r"u is not unitary: \|\|U\^dag U - I\|\| = 7.500e-01 > 1e-09"),
+        ],
+        ids=["not-square", "stack-not-square", "ndim", "ragged", "nan", "contraction"],
+    )
+    def test_rejects_with_the_callers_module(self, values, ndim, message):
+        with pytest.raises(ValidationError, match=message) as info:
+            as_unitary(values, "u", "mod", tol=1e-9, ndim=ndim)
+        assert info.value.module == "mod"
+
+    def test_small_defects_on_many_entries_pass_a_stack(self):
+        # 4 x 4 unitaries scaled by sqrt(1 + 0.9 tol): ||E||_F = 1.8 tol > tol >= ||E||,
+        # so the operator norm decides and accepts
+        tol = 1e-12
+        rng = rng_for(12)
+        stack = np.array([random_unitary(rng, 4) * np.sqrt(1 + 0.9 * tol) for _ in range(3)])
+        defects = stack.conj().transpose(0, 2, 1) @ stack - np.eye(4)
+        assert all(np.linalg.norm(e) > tol >= opnorm(e) for e in defects)
+        as_unitary(stack, "u", "mod", tol=tol, ndim=3)
+
+    def test_names_the_first_failing_matrix_of_a_stack(self):
+        x = np.array([[0, 1], [1, 0]], dtype=complex)
+        stack = [x, x * np.sqrt(1 + 0.9e-12), x * 1.01, x * 2.0]
+        with pytest.raises(ValidationError, match=r"u\[2\] is not unitary: .* = 2.010e-02 ") as info:
+            as_unitary(stack, "u", "mod", tol=1e-12, ndim=3)
+        assert info.value.module == "mod"
+
+    @pytest.mark.parametrize(
+        "u",
+        [[[1e200, 1e200], [1e200, -1e200]], [[1e200, 0], [0, 1]], [[1e160, 0], [0, 1e-160]]],
+        ids=["nan-defect", "inf-defect", "huge-and-tiny"],
+    )
+    def test_a_defect_past_the_float_range_is_inf(self, u):
+        # finite entries whose U^dag U overflows, to inf or to inf - inf = NaN
+        with pytest.raises(ValidationError, match=r"= inf > 1e-09$"):
+            as_unitary(u, "u", "mod", tol=1e-9)
+
+
 class TestPolynomialSpec:
     def test_trims_trailing_zeros(self):
         p = PolynomialSpec([1.0, 2.0, 0.0, 0.0])
@@ -106,11 +158,6 @@ class TestPolynomialSpec:
         with pytest.raises(ValidationError, match="must be finite") as info:
             PolynomialSpec([0.5, 10**400])
         assert info.value.module == "linalg"
-
-    def test_derivative(self):
-        p = PolynomialSpec([3.0, 2.0, 1.0])  # 3 + 2z + z^2
-        assert p.derivative().coefficients == (2 + 0j, 2 + 0j)
-        assert PolynomialSpec([5.0]).derivative().coefficients == (0j,)
 
 
 class TestHornerEval:

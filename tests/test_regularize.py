@@ -1,9 +1,12 @@
+import importlib
+
 import numpy as np
 import pytest
 
 from qevt.encoding import BlockEncoding, dilate, top_left_block
 from qevt.errors import ValidationError
-from qevt.linalg import horner_eval
+from qevt.evt import transform
+from qevt.linalg import PolynomialSpec, horner_eval
 from qevt.regularize import regularize
 
 from helpers import (
@@ -14,6 +17,9 @@ from helpers import (
     rng_for,
     wrapped_unitary,
 )
+
+# the module, which the package's `regularize` function shadows as an attribute
+regularize_module = importlib.import_module("qevt.regularize")
 
 # a fixed generic 2x2 contraction for the worked 2-regular example
 FIXTURE_A = np.array(
@@ -56,6 +62,31 @@ class TestBase:
             for j in range(n):
                 expected = u[d:] if j == (i + 1) % n else np.zeros((dim - d, dim))
                 assert np.array_equal(w[j, d:, i], expected)
+
+
+class TestDenseCap:
+    def test_order_2_to_the_40_is_refused_before_allocating(self):
+        # np.eye of dimension 2^41 raised a bare ValueError ("array is too big")
+        reg = regularize(dilate(0.5 * np.eye(1)), 2**40)
+        with pytest.raises(ValidationError) as info:
+            reg.base
+        message = "dense unitary dimension 1099511627776 * 2 = 2199023255552 exceeds the cap 16384"
+        assert str(info.value) == message
+        assert info.value.module == "regularize"
+
+    def test_lowered_cap(self, monkeypatch):
+        monkeypatch.setattr(regularize_module, "MAX_DENSE_DIM", 8)
+        be = dilate(0.5 * np.eye(2))
+        assert regularize(be, 2).base.dim == 8  # at the cap
+        with pytest.raises(ValidationError, match="dense unitary dimension 4 \\* 4 = 16 exceeds"):
+            regularize(be, 4).base
+        assert regularize(be, 1).base is be  # order 1 builds nothing
+
+    def test_transform_builds_no_dense_unitary(self, monkeypatch):
+        monkeypatch.setattr(regularize_module, "MAX_DENSE_DIM", 1)
+        a = random_contraction(rng_for(13), 3, 0.8)
+        p = PolynomialSpec([0.1, 0.2, 0.3, 0.1, 0.2])
+        assert transform(a, p).achieved_error <= 1e-12
 
 
 class TestRegularize:
