@@ -18,12 +18,18 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import NumericalError, ValidationError, as_complex, as_count, as_real
-from .linalg import PolynomialSpec, as_polynomial, ensure_square, operator_norm
+from .linalg import (
+    MAX_DENSE_DIM,
+    MAX_TRUNCATION_ORDER,
+    PolynomialSpec,
+    as_polynomial,
+    ensure_square,
+    operator_norm,
+)
 
 _MOD = "analytic"
 
 DEFAULT_EXP_SCALE = 1.0 / 3.0  # keeps |e^z| * scale below 1 on the closed disk
-MAX_TRUNCATION_ORDER = 2**20  # 35x the largest documented plan (degree 29949)
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,7 +51,8 @@ class JordanForm:
 
 def disk_samples(count: int) -> np.ndarray:
     """Deterministic, well-spread points of the closed unit disk (sunflower layout)."""
-    k = np.arange(1, as_count(count, "sample count", _MOD) + 1)
+    count = as_count(count, "sample count", _MOD, most=MAX_TRUNCATION_ORDER)
+    k = np.arange(1, count + 1)
     radius = np.sqrt(k / count)
     golden_angle = np.pi * (3.0 - np.sqrt(5.0))
     return radius * np.exp(1j * golden_angle * k)
@@ -149,7 +156,7 @@ def taylor_truncation_order(r: float, m: float, eps: float) -> int:
 def jordan_block(eigenvalue: complex, size: int) -> np.ndarray:
     """size x size block: the eigenvalue on the diagonal, ones on the superdiagonal."""
     eigenvalue = as_complex(eigenvalue, "eigenvalue", _MOD)
-    size = as_count(size, "block size", _MOD, least=1)
+    size = as_count(size, "block size", _MOD, least=1, most=MAX_DENSE_DIM)
     block = np.eye(size, dtype=np.complex128) * eigenvalue
     block += np.diag(np.ones(size - 1), 1)
     return block
@@ -160,7 +167,7 @@ def jordan_poly(p, eigenvalue: complex, size: int) -> np.ndarray:
     coefficients of P at lambda. Each is the remainder of one more synthetic division by
     z - lambda (Horner's scheme): no factorial or derivative is formed; k > deg P gives 0."""
     eigenvalue = as_complex(eigenvalue, "eigenvalue", _MOD)
-    size = as_count(size, "block size", _MOD, least=1)
+    size = as_count(size, "block size", _MOD, least=1, most=MAX_DENSE_DIM)
     coeffs = as_polynomial(p).coefficients
     out = np.zeros((size, size), dtype=np.complex128)
     for k in range(min(size, len(coeffs))):

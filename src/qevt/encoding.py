@@ -3,7 +3,10 @@
 A unitary U with a ancilla qubits block-encodes a d x d matrix A up to
 error eps when the top-left d x d block of U (ancillas most significant,
 projected onto their all-zero state) is within eps of A in operator norm;
-U is unitary by linalg.as_unitary's rule, to UNITARITY_TOL.
+U is unitary by linalg.as_unitary's rule, to UNITARITY_TOL, checked once
+where it enters (BlockEncoding(...)). The unitaries this package builds
+itself, in dilate and RegularizedEncoding.base, are unitary by construction
+and are not rechecked: the tests hold them to the same rule.
 It is n-regular when the block of U^k is within k*tol + REGULARITY_FLOOR of
 A^k for every k <= n: regularity_profile measures, regularity_order decides.
 """
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NormBoundError, ValidationError, as_count, as_real
-from .linalg import UNITARITY_TOL, as_unitary, ensure_square, operator_norm
+from .linalg import MAX_TRUNCATION_ORDER, UNITARITY_TOL, as_unitary, ensure_square, operator_norm
 
 _MOD = "encoding"
 
@@ -46,6 +49,17 @@ class BlockEncoding:
         return self.unitary.shape[0]
 
 
+def _built(unitary: np.ndarray, ancilla_qubits: int, system_dim: int) -> BlockEncoding:
+    """A BlockEncoding of a unitary this package has just built and nothing else refers
+    to: frozen in place. __post_init__ is skipped, so there is no copy and no U^dag U."""
+    unitary.setflags(write=False)
+    be = object.__new__(BlockEncoding)
+    object.__setattr__(be, "unitary", unitary)
+    object.__setattr__(be, "ancilla_qubits", ancilla_qubits)
+    object.__setattr__(be, "system_dim", system_dim)
+    return be
+
+
 def top_left_block(be: BlockEncoding) -> np.ndarray:
     """The encoded d x d block: ancillas projected onto their all-zero state."""
     d = be.system_dim
@@ -74,7 +88,7 @@ def dilate(a_mat) -> BlockEncoding:
     top_right = (left * complement) @ left.conj().T
     bottom_left = (right_h.conj().T * complement) @ right_h
     u = np.block([[a, top_right], [bottom_left, -a.conj().T]])
-    return BlockEncoding(unitary=u, ancilla_qubits=1, system_dim=d)
+    return _built(u, 1, d)
 
 
 def regularity_profile(be: BlockEncoding, a_mat, k_max: int) -> list[float]:
@@ -88,9 +102,10 @@ def regularity_profile(be: BlockEncoding, a_mat, k_max: int) -> list[float]:
     if a.shape[0] != d:
         message = f"target dimension {a.shape[0]} != encoded system dimension {d}"
         raise ValidationError(message, module=_MOD)
+    k_max = as_count(k_max, "k_max", _MOD, least=1, most=MAX_TRUNCATION_ORDER)
     columns, a_power = be.unitary[:, :d], a
     errors = [operator_norm(columns[:d] - a_power)]
-    for _ in range(as_count(k_max, "k_max", _MOD, least=1) - 1):
+    for _ in range(k_max - 1):
         columns, a_power = be.unitary @ columns, a_power @ a
         errors.append(operator_norm(columns[:d] - a_power))
     return errors

@@ -55,10 +55,13 @@ def _shown(value) -> str:
         return f"a {'negative ' if value < 0 else ''}{value.bit_length()}-bit integer"
 
 
-def as_count(value, name: str, module: str, *, least: int = 0) -> int:
-    """A Python or numpy integer, not a bool, at least ``least`` (0 or 1), as an int."""
+def as_count(value, name: str, module: str, *, least: int = 0, most: int | None = None) -> int:
+    """A Python or numpy integer, not a bool, at least ``least`` (0 or 1) and at most
+    ``most`` (a size cap) if given, as an int."""
     if is_number(value, numbers.Integral) and value >= least:
-        return int(value)
+        if most is None or value <= most:
+            return int(value)
+        raise ValidationError(f"{name} {_shown(value)} exceeds the cap {most}", module=module)
     sign = "positive" if least else "nonnegative"
     message = f"{name} must be {sign} and an integer, got {_shown(value)}"
     raise ValidationError(message, module=module)
@@ -85,9 +88,11 @@ def as_complex(value, name: str, module: str) -> complex:
 def as_array(values, name: str, module: str, *, ndim: int | None = None) -> np.ndarray:
     """A nonempty array of finite numbers, with ``ndim`` axes if given, as complex128.
 
-    Nothing is parsed: bools, text, bytes, None, other objects and ragged nestings are
-    rejected. Object arrays of numbers pass (Python integers past int64); an integer
-    past the float range is not finite. complex128 input is returned without a copy.
+    Nothing is parsed: text, bytes, None, other objects and ragged nestings are rejected,
+    and so is an array of bools; a bool that numpy upcasts among numbers, as in
+    ``[True, 0.5]``, passes as 1.0. Object arrays of numbers pass (Python integers
+    past int64); an integer past the float range is not finite. complex128 input is
+    returned without a copy.
     """
     try:
         arr = np.asarray(values)

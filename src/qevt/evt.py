@@ -23,10 +23,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import dilate, regularity_profile, top_left_block
+from .encoding import dilate, top_left_block
 from .errors import NormBoundError, ValidationError, as_count, as_real
 from .gqsp import GqspSequence, _grid_residual, _signal_block, synthesize
-from .linalg import PolynomialSpec, as_polynomial, ensure_square, horner_eval, operator_norm
+from .linalg import (
+    MAX_TRUNCATION_ORDER,
+    PolynomialSpec,
+    as_polynomial,
+    ensure_square,
+    horner_eval,
+    operator_norm,
+)
 from .regularize import RegularizedEncoding, regularize
 
 _MOD = "evt"
@@ -41,8 +48,9 @@ class TransformReport:
     ``result_block`` has already been divided by it. Rescaling of the
     matrix itself is absorbed exactly into the synthesized coefficients
     and leaves no residual factor. ``predicted_bound`` is an estimate, not a
-    bound: the perturbation term (0 for the built-in dilation) plus the
-    synthesis residual sampled on the 1024th roots of unity.
+    bound: the synthesis residual sampled on the 1024th roots of unity. The
+    built-in dilation encodes A exactly (its top-left block is a copy of A),
+    so there is no encoding error to add.
     """
 
     result_block: np.ndarray
@@ -88,7 +96,7 @@ def perturbation_bound(degree: int, eps: float) -> float:
     Follows from ||(A+E)^k - A^k|| <= k ||E|| for contractions together with
     Parseval (sum |a_k|^2 <= 1) and Cauchy-Schwarz over the coefficients.
     """
-    n = as_count(degree, "degree", _MOD)
+    n = as_count(degree, "degree", _MOD, most=MAX_TRUNCATION_ORDER)
     return float(np.sqrt(n * (n + 1) * (2 * n + 1) / 6.0)) * as_real(eps, "eps", _MOD)
 
 
@@ -98,8 +106,10 @@ def transform(a_mat, p) -> TransformReport:
     Builds dilation -> counter regularization at order 2^ceil(log2 deg) ->
     rotation synthesis -> the circuit's encoded block (assemble_circuit), and
     reports the achieved operator-norm error against horner_eval(p, a_mat)
-    with the sampled estimate ``predicted_bound`` (see TransformReport). A
-    norm alpha > 1 for which P(alpha z) overflows is a NormBoundError.
+    with the sampled estimate ``predicted_bound`` (see TransformReport). The
+    dilation is built here and is exact, so its encoding error is not
+    measured. A norm alpha > 1 for which P(alpha z) overflows is a
+    NormBoundError.
     """
     a = ensure_square(a_mat, name="matrix")
     p = as_polynomial(p)
@@ -116,8 +126,7 @@ def transform(a_mat, p) -> TransformReport:
         a_enc = a
         p_enc = p
 
-    degree = p_enc.degree
-    order = counter_order_for_degree(degree)
+    order = counter_order_for_degree(p_enc.degree)
     encoding = dilate(a_enc)
     reg = regularize(encoding, order)
     seq = synthesize(p_enc)
@@ -126,9 +135,7 @@ def transform(a_mat, p) -> TransformReport:
     oracle = horner_eval(p, a)
     achieved = operator_norm(result - oracle)
 
-    encoding_eps = regularity_profile(encoding, a_enc, 1)[0]
-    synth_residual = _grid_residual(seq, p_enc, 1024)
-    predicted = perturbation_bound(degree, encoding_eps) + synth_residual / seq.scale
+    predicted = _grid_residual(seq, p_enc, 1024) / seq.scale
 
     return TransformReport(
         result_block=result,

@@ -19,6 +19,8 @@ from .errors import ValidationError, as_array
 _MOD = "linalg"
 
 UNITARITY_TOL = 1e-9
+MAX_DENSE_DIM = 2**14  # one complex matrix of this dimension is 4 GiB
+MAX_TRUNCATION_ORDER = 2**20  # 35x the largest documented plan (degree 29949)
 
 
 def as_matrix(values, *, name: str = "matrix") -> np.ndarray:

@@ -23,12 +23,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .encoding import BlockEncoding
+from .encoding import BlockEncoding, _built
 from .errors import ValidationError, _shown, as_count
+from .linalg import MAX_DENSE_DIM
 
 _MOD = "regularize"
-
-MAX_DENSE_DIM = 2**14  # one complex matrix of this dimension is 4 GiB
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,6 +78,7 @@ class RegularizedEncoding:
         """The dense wrapped encoding (branch shift times I_n tensor U); the source if n = 1.
 
         Built by applying the wrapped unitary to every basis column, up to MAX_DENSE_DIM.
+        It is unitary by construction and is not rechecked (see ``encoding``).
         """
         be = self.source
         if self.order == 1:
@@ -88,11 +88,9 @@ class RegularizedEncoding:
             message = f"dense unitary dimension {self.order} * {be.dim} = {dim}"
             raise ValidationError(f"{message} exceeds the cap {MAX_DENSE_DIM}", module=_MOD)
         columns = np.eye(dim, dtype=np.complex128).reshape(self.order, be.dim, dim)
-        return BlockEncoding(
-            unitary=self.apply(columns).reshape(dim, dim),
-            ancilla_qubits=self.counter_qubits + be.ancilla_qubits,
-            system_dim=be.system_dim,
-        )
+        # a fresh array that nothing else holds: apply's product, reordered by the reshape
+        unitary = self.apply(columns).reshape(dim, dim)
+        return _built(unitary, self.counter_qubits + be.ancilla_qubits, be.system_dim)
 
 
 def regularize(be: BlockEncoding, n: int) -> RegularizedEncoding:

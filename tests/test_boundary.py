@@ -70,6 +70,12 @@ class TestRules:
             as_count(value, "n", "mod", least=least)
         assert str(info.value) == message and info.value.module == "mod"
 
+    def test_count_cap_is_inclusive(self):
+        assert as_count(np.int64(5), "n", "m", most=5) == 5
+        with pytest.raises(ValidationError) as info:
+            as_count(6, "n", "mod", least=1, most=5)
+        assert str(info.value) == "n 6 exceeds the cap 5" and info.value.module == "mod"
+
     @pytest.mark.parametrize(
         "value, above, expected",
         [
@@ -259,6 +265,13 @@ ESCAPES = {
         "regularize",
     ),
     "exp_plan-eps-below-factorial-range": (lambda: exp_plan(1e-320), "analytic"),
+    # counts past the caps: sample counts, degrees and k_max by MAX_TRUNCATION_ORDER,
+    # block sizes by MAX_DENSE_DIM
+    "disk_samples-count-huge": (lambda: disk_samples(10**29), "analytic"),
+    "jordan_block-size-huge": (lambda: jordan_block(0.5, 2**63), "analytic"),
+    "jordan_poly-size-huge": (lambda: jordan_poly([1, 2], 0.5, 2**63), "analytic"),
+    "perturbation_bound-degree-huge": (lambda: perturbation_bound(10**103, 0.1), "evt"),
+    "regularity_profile-k_max-huge": (lambda: regularity_profile(BE, A, 10**29), "encoding"),
 }
 
 

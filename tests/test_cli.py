@@ -773,6 +773,19 @@ class TestVerifyCommand:
         assert error == {"error": "unitary dimension 4 != 2^20000 * 2", "module": "encoding",
                          "exit": 2}
 
+    def test_order_past_the_count_cap_exits_2(self, tmp_path, capsys):
+        # 10^29 - 1 matrix products ran until killed; the k_max cap refuses it at once
+        a = random_contraction(rng_for(11), 2, 0.8)
+        unitary = write_matrix(tmp_path / "u.json", np.asarray(dilate(a).unitary))
+        matrix = write_matrix(tmp_path / "a.json", a)
+        argv = ["verify", unitary, matrix, "--ancillas", "1", "--order", str(10**29)]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = json.loads(captured.err)
+        assert error == {"error": f"k_max {10**29} exceeds the cap 1048576", "module": "encoding",
+                         "exit": 2}
+
 
 class TestDemoCommand:
     @pytest.mark.parametrize("which", ["inverse", "exp", "jordan"])

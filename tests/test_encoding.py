@@ -2,8 +2,11 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from qevt import linalg
+from qevt import cli, encoding, linalg
+from qevt.analytic import JordanForm, assemble_from_jordan, jordan_block
 from qevt.encoding import (
     UNITARITY_TOL,
     BlockEncoding,
@@ -13,7 +16,8 @@ from qevt.encoding import (
     top_left_block,
 )
 from qevt.errors import NormBoundError, ValidationError
-from qevt.linalg import operator_norm
+from qevt.evt import transform
+from qevt.linalg import as_unitary, operator_norm
 from qevt.regularize import regularize
 
 from helpers import opnorm, random_complex, random_contraction, random_unitary, rng_for
@@ -153,6 +157,81 @@ class TestDilate:
         rng = rng_for(4)
         a = random_contraction(rng, 3, 1.0)
         assert regularity_profile(dilate(a), a, 1) == [0.0]
+
+
+def dilation_input(kind: str, d: int, k: int, seed: int) -> np.ndarray:
+    """A d x d matrix of norm at most 1 + 4 * 2^-52, of the named kind."""
+    rng = rng_for(seed)
+    g = random_complex(rng, (d, d))
+    if kind == "norm":  # ||A|| = 1 + k * 2^-52 to rounding, k in -4..4
+        return g / opnorm(g) * (1 + k * 2.0**-52)
+    if kind == "tiny":  # entries around 1e-160, whose products underflow
+        return g * 1e-160
+    if kind == "zero":
+        return np.zeros((d, d))
+    if kind == "rank-deficient":  # rank below d (0 for d = 1), norm 1 unless zero
+        rank = int(rng.integers(0, d))
+        low = g[:, :rank] @ random_complex(rng, (rank, d))
+        return low / opnorm(low) if rank else low
+    if kind == "jordan":
+        lam = complex(*rng.uniform(-0.7, 0.7, 2))
+        block = jordan_block(lam, d)
+        return block / opnorm(block)
+    # assemble_from_jordan: blocks of sizes summing to d, a well-conditioned similarity
+    sizes, left = [], d
+    while left:
+        sizes.append(int(rng.integers(1, left + 1)))
+        left -= sizes[-1]
+    blocks = tuple((complex(*rng.uniform(-0.7, 0.7, 2)), size) for size in sizes)
+    a = assemble_from_jordan(JordanForm(np.eye(d) + 0.3 * g / opnorm(g), blocks))
+    return a / opnorm(a)
+
+
+KINDS = ["norm", "tiny", "zero", "rank-deficient", "jordan", "assembled"]
+
+
+class TestBuiltUnitaries:
+    """dilate and RegularizedEncoding.base build their unitaries without rechecking
+    them; these tests hold the built unitaries to the rule an input must pass."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(
+        kind=st.sampled_from(KINDS),
+        d=st.sampled_from(range(1, 17)),  # st.integers draws d = 1 for half the examples
+        order=st.sampled_from([1, 2, 4, 8, 16]),
+        k=st.integers(-4, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(kind="norm", d=16, order=16, k=4, seed=0)
+    @example(kind="assembled", d=16, order=16, k=0, seed=1)
+    def test_built_unitaries_pass_the_input_rule(self, kind, d, order, k, seed):
+        a = dilation_input(kind, d, k, seed)
+        be = dilate(a)
+        base = regularize(be, order).base
+        assert np.array_equal(top_left_block(be), a)
+        assert np.array_equal(top_left_block(base), a)
+        for built in (be, base):
+            as_unitary(built.unitary, "built unitary", "test", tol=UNITARITY_TOL)
+            assert built.dim == 2**built.ancilla_qubits * built.system_dim
+            assert not built.unitary.flags.writeable
+        # each stores an array of its own; order 1 returns the source itself
+        assert not np.shares_memory(be.unitary, a)
+        assert (base is be) if order == 1 else not np.shares_memory(base.unitary, be.unitary)
+
+    def test_only_inputs_reach_the_unitarity_check(self, monkeypatch, tmp_path):
+        def fail(*args, **kwargs):
+            raise AssertionError("unitarity checked")
+
+        monkeypatch.setattr(encoding, "as_unitary", fail)
+        a = random_contraction(rng_for(16), 3, 0.8)
+        regularize(dilate(a), 4).base
+        transform(a, [0.5, 0.25, 0.125])
+        path = tmp_path / "u.json"
+        payload = {"ancillas": 1, "system_dim": 2, **cli.matrix_payload(np.eye(4))}
+        path.write_text(cli.emit_json(payload))
+        for entry in (lambda: BlockEncoding(np.eye(4), 1, 2), lambda: cli.load_encoding(path)):
+            with pytest.raises(AssertionError, match="unitarity checked"):
+                entry()
 
 
 def order_of(be, a, tol, k_max):
