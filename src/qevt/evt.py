@@ -1,11 +1,12 @@
 """End-to-end eigenvalue transformation of arbitrary square matrices.
 
-Pipeline: dilate the matrix into a one-ancilla block-encoding, wrap it
-with a counter register so the first n powers are faithful, synthesize
-the processing rotations for the target polynomial, and interleave them
-with the controlled encoding. Only the top-left block of that circuit is
-computed. It depends on the counter-0 sector alone (see assemble_circuit),
-so it is QSP on the encoded block, carried on d columns: the block is
+Construction: dilate the matrix into a one-ancilla block-encoding, wrap it
+with a counter register so the first n powers are faithful, synthesize the
+processing rotations for the target polynomial, and interleave them with
+the controlled encoding. Only the circuit's top-left block is read, and it
+depends on the counter-0 sector alone (see assemble_circuit), where the
+encoding acts as A. So it is QSP on A carried on d columns, and that is all
+``transform`` computes; tests/test_evt.py holds the two equal. The block is
 P(A), verified against a classical Horner evaluation.
 
 The pipeline is total on square inputs: a matrix whose norm alpha (the
@@ -23,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import dilate, top_left_block
+from .encoding import top_left_block
 from .errors import NormBoundError, ValidationError, as_count, as_real
-from .gqsp import GqspSequence, _grid_residual, _signal_block, synthesize
+from .gqsp import GqspSequence, _grid_residual, _operator_block, synthesize
 from .linalg import (
     MAX_TRUNCATION_ORDER,
     PolynomialSpec,
@@ -34,7 +35,7 @@ from .linalg import (
     horner_eval,
     operator_norm,
 )
-from .regularize import RegularizedEncoding, regularize
+from .regularize import RegularizedEncoding
 
 _MOD = "evt"
 
@@ -49,8 +50,9 @@ class TransformReport:
     matrix itself is absorbed exactly into the synthesized coefficients
     and leaves no residual factor. ``predicted_bound`` is an estimate, not a
     bound: the synthesis residual sampled on the 1024th roots of unity. The
-    built-in dilation encodes A exactly (its top-left block is a copy of A),
-    so there is no encoding error to add.
+    rotations act on A itself, which the dilation encodes exactly, so there
+    is no encoding error to add; ``total_ancillas`` and ``circuit_dim`` count
+    the construction's registers.
     """
 
     result_block: np.ndarray
@@ -86,8 +88,7 @@ def assemble_circuit(seq: GqspSequence, reg: RegularizedEncoding) -> np.ndarray:
             f"sequence degree {seq.degree} exceeds encoding regularity order {reg.order}",
             module=_MOD,
         )
-    block = top_left_block(reg.source)
-    return _signal_block(seq, lambda v: block @ v, np.eye(len(block), dtype=np.complex128))
+    return _operator_block(seq, top_left_block(reg.source))
 
 
 def perturbation_bound(degree: int, eps: float) -> float:
@@ -103,47 +104,43 @@ def perturbation_bound(degree: int, eps: float) -> float:
 def transform(a_mat, p) -> TransformReport:
     """Block-encode P(A) for an arbitrary square A and compare with Horner.
 
-    Builds dilation -> counter regularization at order 2^ceil(log2 deg) ->
-    rotation synthesis -> the circuit's encoded block (assemble_circuit), and
-    reports the achieved operator-norm error against horner_eval(p, a_mat)
-    with the sampled estimate ``predicted_bound`` (see TransformReport). The
-    dilation is built here and is exact, so its encoding error is not
-    measured. A norm alpha > 1 for which P(alpha z) overflows is a
-    NormBoundError.
+    Synthesizes the rotations and runs them on A (A / alpha past norm 1): by
+    assemble_circuit's counter-0 argument, the block of the circuit on the
+    dilation regularized at order 2^ceil(log2 deg), which is not built. Reports
+    the achieved operator-norm error against horner_eval(p, a_mat) with the
+    sampled estimate ``predicted_bound`` (see TransformReport). A norm alpha > 1
+    for which P(alpha z) overflows is a NormBoundError.
     """
     a = ensure_square(a_mat, name="matrix")
     p = as_polynomial(p)
 
     alpha = operator_norm(a)
-    if alpha > 1.0:  # then ||A / alpha|| = 1 to rounding, well inside dilate's NORM_SLACK
+    a_enc, p_enc = a, p
+    if alpha > 1.0:  # then ||A / alpha|| = 1 to rounding: a contraction, as the dilation needs
         a_enc = a / alpha
         try:  # P(alpha z) so that P_enc(A/alpha) == P(A) exactly
             p_enc = PolynomialSpec([c * alpha**k for k, c in enumerate(p.coefficients)])
         except (OverflowError, ValidationError):  # alpha^k, or a coefficient, is not finite
             message = f"P(alpha z) overflows for ||A|| = {alpha:.12g} at degree {p.degree}"
             raise NormBoundError(message, module=_MOD, norm=alpha) from None
-    else:
-        a_enc = a
-        p_enc = p
 
-    order = counter_order_for_degree(p_enc.degree)
-    encoding = dilate(a_enc)
-    reg = regularize(encoding, order)
     seq = synthesize(p_enc)
-
-    result = assemble_circuit(seq, reg) / seq.scale
+    result = _operator_block(seq, a_enc) / seq.scale
     oracle = horner_eval(p, a)
     achieved = operator_norm(result - oracle)
 
     predicted = _grid_residual(seq, p_enc, 1024) / seq.scale
 
+    order = counter_order_for_degree(p_enc.degree)
+    # the construction's registers: the processing qubit, log2(order) counter
+    # qubits and the dilation's one ancilla, over 2 * order * 2d rows
     return TransformReport(
         result_block=result,
         oracle_block=oracle,
         achieved_error=achieved,
         predicted_bound=predicted,
-        total_ancillas=1 + reg.counter_qubits + reg.source_ancillas,
-        circuit_dim=2 * order * encoding.dim,
+        total_ancillas=1 + (order.bit_length() - 1) + 1,
+        circuit_dim=2 * order * 2 * len(a),
         encoding_scale=seq.scale,
         controlled_calls=seq.degree,
     )

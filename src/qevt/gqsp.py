@@ -448,11 +448,15 @@ def _signal_block(seq: GqspSequence, signal, x: np.ndarray) -> np.ndarray:
     return state[0]
 
 
+def _operator_block(seq: GqspSequence, w: np.ndarray) -> np.ndarray:
+    """Top-left d x d block of (R_0 x I) C(W) (R_1 x I) ... C(W) (R_n x I): QSP on a d x d W."""
+    return _signal_block(seq, lambda v: w @ v, np.eye(len(w), dtype=np.complex128))
+
+
 def apply_to_operator(seq: GqspSequence, u) -> np.ndarray:
     """Top-left d x d block of (R_0 x I) C(U) (R_1 x I) ... C(U) (R_n x I).
 
     C(U) = diag(I, U) with the processing qubit most significant; the block
     is the realized polynomial applied to U, unitary by ``as_unitary``'s rule.
     """
-    u = as_unitary(u, "signal operator", _MOD, tol=UNITARITY_TOL)
-    return _signal_block(seq, lambda v: u @ v, np.eye(len(u), dtype=np.complex128))
+    return _operator_block(seq, as_unitary(u, "signal operator", _MOD, tol=UNITARITY_TOL))

@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qevt import cli, encoding
 from qevt.analytic import JordanForm, assemble_from_jordan, shifted_inverse_plan
 from qevt.encoding import BlockEncoding, dilate, top_left_block
 from qevt.errors import NormBoundError, ValidationError
@@ -12,8 +15,8 @@ from qevt.evt import (
     perturbation_bound,
     transform,
 )
-from qevt.gqsp import synthesize
-from qevt.linalg import PolynomialSpec, horner_eval
+from qevt.gqsp import _grid_residual, synthesize
+from qevt.linalg import PolynomialSpec, horner_eval, operator_norm
 from qevt.regularize import RegularizedEncoding, regularize
 
 from helpers import (
@@ -28,6 +31,18 @@ from helpers import (
 )
 
 AVERAGING = PolynomialSpec([0.5, 0.0, 0.5])
+
+
+def jordan_matrix(rng, dim: int) -> np.ndarray:
+    """S J S^-1 with random Jordan blocks filling dim and a well-conditioned S."""
+    blocks, left = [], dim
+    while left:
+        size = int(rng.integers(1, left + 1))
+        blocks.append((complex(0.5 * random_complex(rng, ())), size))
+        left -= size
+    g = random_complex(rng, (dim, dim))
+    similarity = np.eye(dim) + 0.2 * g / opnorm(g)
+    return assemble_from_jordan(JordanForm(similarity=similarity, blocks=tuple(blocks)))
 
 
 def test_counter_order_for_degree():
@@ -208,8 +223,8 @@ class TestTransform:
         ids=["seed3", "seed0-up", "seed1-down"],
     )
     def test_norm_at_the_dilation_slack_is_rescaled(self, seed, factor):
-        # ||A|| = 1 + 1e-12 to an ulp: the rescaling test and dilate's slack
-        # must not disagree about which side of it A is on
+        # ||A|| = 1 + 1e-12 to an ulp, at dilate's slack: transform rescales
+        # past norm 1 and builds no dilation, so either side is accurate
         rng = rng_for(seed)
         g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         report = transform(g / np.linalg.norm(g, 2) * factor, [0.5, 0.25])
@@ -239,6 +254,79 @@ class TestTransform:
         assert str(info.value) == "P(alpha z) overflows for ||A|| = 1e+160 at degree 2"
         assert info.value.module == "evt"
 
+    def test_builds_no_encoding(self, monkeypatch, tmp_path):
+        # the rotations run on A itself: no dilation and no counter wrapper is
+        # built, through the library or through the command line
+        def refuse(*args, **kwargs):
+            raise AssertionError("an encoding was built")
+
+        monkeypatch.setattr(encoding, "_built", refuse)
+        monkeypatch.setattr(BlockEncoding, "__post_init__", refuse)
+        monkeypatch.setattr(RegularizedEncoding, "__post_init__", refuse)
+        rng = rng_for(16)
+        p = random_polynomial(rng, 5, sup=0.9)
+        poly = tmp_path / "p.json"
+        poly.write_text(json.dumps({"coefficients": [[c.real, c.imag] for c in p.coefficients]}))
+        for norm in (0.9, 1.7):
+            a = random_contraction(rng, 3, norm)
+            report = transform(a, p)
+            assert report.achieved_error <= 1e-12 * max(1.0, opnorm(report.oracle_block))
+            matrix = tmp_path / "a.json"
+            data = [[v.real, v.imag] for v in a.ravel().tolist()]
+            matrix.write_text(json.dumps({"rows": 3, "cols": 3, "data": data}))
+            report_file = str(tmp_path / "report.json")
+            args = ["transform", str(matrix), "--coeffs", str(poly), "--report", report_file]
+            assert cli.main(args) == 0
+        assert cli.main(["demo", "jordan", "--report", str(tmp_path / "demo.json")]) == 0
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        kind=st.sampled_from(["random", "jordan", "zero"]),
+        dim=st.integers(1, 6),
+        norm=st.sampled_from(
+            [1.0 + k * 2.0**-52 for k in range(-4, 5)] + [1.0 + 1e-12, 0.5, 1.7, 1e3]
+        ),
+        layout=st.sampled_from(["C", "F", "transposed"]),
+        degree=st.integers(0, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_the_explicit_pipeline(self, kind, dim, norm, layout, degree, seed):
+        # the block QSP gives on A is the block of the circuit on the dilation
+        # regularized at the counter order, which transform does not build
+        rng = rng_for(seed)
+        if kind == "zero":
+            a = np.zeros((dim, dim), dtype=np.complex128)
+        else:
+            a = random_complex(rng, (dim, dim)) if kind == "random" else jordan_matrix(rng, dim)
+            a *= norm / opnorm(a)
+        a = {
+            "C": np.ascontiguousarray,
+            "F": np.asfortranarray,
+            "transposed": lambda m: np.ascontiguousarray(m.T).T,
+        }[layout](a)
+        p = random_polynomial(rng, degree, sup=0.9)
+        report = transform(a, p)
+
+        alpha = operator_norm(a)
+        a_enc, p_enc = a, p
+        if alpha > 1.0:
+            a_enc = a / alpha
+            p_enc = PolynomialSpec([c * alpha**k for k, c in enumerate(p.coefficients)])
+        order = counter_order_for_degree(p_enc.degree)
+        source = dilate(a_enc)
+        reg = regularize(source, order)
+        seq = synthesize(p_enc)
+        block = assemble_circuit(seq, reg)
+        result = block / seq.scale
+        assert np.array_equal(report.result_block, result)
+        assert report.achieved_error == operator_norm(result - horner_eval(p, a))
+        assert report.predicted_bound == _grid_residual(seq, p_enc, 1024) / seq.scale
+        assert report.total_ancillas == 1 + reg.counter_qubits + reg.source_ancillas
+        assert report.circuit_dim == 2 * order * source.dim
+        assert report.controlled_calls == seq.degree
+        assert report.encoding_scale == seq.scale
+        full = full_sector_block(seq, reg)
+        assert opnorm(block - full) <= 1e-14 * max(1.0, opnorm(full))
 
     @pytest.mark.parametrize(
         "p, degree",
