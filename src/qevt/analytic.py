@@ -85,19 +85,14 @@ def _check_on_disk(plan: PolynomialSpec, target, bound: float, what: str) -> Non
 def shifted_inverse_plan(c: complex, eps: float) -> TruncationPlan:
     """Geometric-series truncation of 1/(c - z) for a pole outside the disk.
 
-    Coefficients are 1/c^{k+1}; the order N = ceil(log_|c|(1/(eta eps)))
-    with eta = |c| - 1 makes the geometric tail at most eps on the disk. An order past
-    MAX_TRUNCATION_ORDER, or a 1/(eta eps) or |c|^(N+1) past the float range, is a ValidationError.
+    Coefficients are 1/c^{k+1}, at most |c|^-k: N = taylor_truncation_order(|c|, 1, eps)
+    bounds the geometric tail by eps on the disk. An order past MAX_TRUNCATION_ORDER, or a
+    1/((|c| - 1) eps) or |c|^(N+1) past the float range, is a ValidationError.
     """
     c = as_complex(c, "the pole c", _MOD)
     eps = as_real(eps, "eps", _MOD, above=0)
     mod = as_real(abs(c), "the pole's modulus |c|", _MOD, above=1)  # outside the closed disk
-    eta = mod - 1.0
-    try:
-        n = max(0, math.ceil(math.log(1.0 / (eta * eps), mod)))
-    except (ZeroDivisionError, OverflowError):  # 1/(eta eps) is past the float range
-        message = f"(|c| - 1) * eps = {eta!r} * {eps!r} is below the float range"
-        raise ValidationError(message, module=_MOD) from None
+    n = taylor_truncation_order(mod, 1.0, eps)
     if n > MAX_TRUNCATION_ORDER:
         message = f"truncation order {n} for |c| = {mod!r}, eps = {eps!r}"
         raise ValidationError(f"{message} exceeds the cap {MAX_TRUNCATION_ORDER}", module=_MOD)
@@ -106,7 +101,7 @@ def shifted_inverse_plan(c: complex, eps: float) -> TruncationPlan:
     except OverflowError:  # c^(k+1) is past the float range
         message = f"|c|^(N + 1) = {mod!r}^{n + 1} is above the float range"
         raise ValidationError(message, module=_MOD) from None
-    tail = mod ** -(n + 1) / eta
+    tail = mod ** -(n + 1) / (mod - 1.0)
     _check_on_disk(plan, lambda z: 1.0 / (c - z), max(tail, eps), "shifted inverse truncation")
     return TruncationPlan(order=n, coefficients=plan, certified_error=tail)
 

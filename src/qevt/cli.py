@@ -19,8 +19,8 @@ import sys
 import numpy as np
 
 from . import analytic, encoding, evt, gqsp
-from .errors import NormBoundError, NumericalError, QevtError, ValidationError
-from .linalg import PolynomialSpec, horner_eval, operator_norm
+from .errors import NormBoundError, NumericalError, QevtError, ValidationError, as_count, as_real
+from .linalg import MAX_DENSE_DIM, PolynomialSpec, horner_eval, operator_norm
 from .regularize import regularize as regularize_encoding
 
 _MOD = "cli"
@@ -123,9 +123,10 @@ def _matrix_from_payload(payload: dict, path: str) -> np.ndarray:
     for key in ("rows", "cols", "data"):
         if key not in payload:
             raise ValidationError(f"{path}: missing field '{key}'", module=_MOD)
-    rows, cols = payload["rows"], payload["cols"]
-    if not all(type(v) is int and v >= 1 for v in (rows, cols)):
-        raise ValidationError(f"{path}: rows/cols must be positive integers", module=_MOD)
+    rows, cols = (
+        as_count(payload[key], f"{path}: {key}", _MOD, least=1, most=MAX_DENSE_DIM)
+        for key in ("rows", "cols")
+    )
     flat = _pairs_to_complex(payload["data"], path)
     if flat.size != rows * cols:
         raise ValidationError(
@@ -139,8 +140,6 @@ def load_encoding(path: str) -> encoding.BlockEncoding:
     for key in ("ancillas", "system_dim"):
         if key not in payload:
             raise ValidationError(f"{path}: missing field '{key}'", module=_MOD)
-        if type(payload[key]) is not int:  # exact type, as for rows/cols: bool is rejected
-            raise ValidationError(f"{path}: ancillas/system_dim must be integers", module=_MOD)
     matrix = _matrix_from_payload(payload, path)
     try:
         return encoding.BlockEncoding(matrix, payload["ancillas"], payload["system_dim"])
@@ -157,8 +156,11 @@ def load_polynomial(path: str) -> PolynomialSpec:
 
 def _write(path: str | None, text: str) -> None:
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ValidationError(f"cannot write {path}: {exc}", module=_MOD) from None
     else:
         print(text)
 
@@ -300,32 +302,6 @@ def _cmd_demo(args) -> int:
 # argument parsing
 
 
-def _finite_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"finite number expected, got {text!r}")
-    return value
-
-
-def _nonnegative(convert):
-    """An argparse type: ``convert``, then a usage error for a negative value."""
-
-    def parse(text: str):
-        value = convert(text)
-        if value < 0:
-            raise argparse.ArgumentTypeError(f"nonnegative number expected, got {text!r}")
-        return value
-
-    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
-    return parse
-
-
-_tolerance, _count = _nonnegative(_finite_float), _nonnegative(int)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qevt",
@@ -336,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     relative = "pass when achieved_error <= TOLERANCE * max(1, ||P(A)||)"
 
     def common(p, rule="pass/fail threshold"):
-        p.add_argument("--tolerance", type=_tolerance, default=1e-8, help=rule)
+        p.add_argument("--tolerance", type=float, default=1e-8, help=rule)
         p.add_argument("--report", default=None, help="write output here instead of stdout")
 
     p = sub.add_parser("dilate", help="embed a contraction in a one-ancilla unitary")
@@ -368,13 +344,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("unitary", help="unitary matrix JSON file")
     p.add_argument("matrix", help="encoded matrix JSON file")
     p.add_argument("--ancillas", type=int, required=True)
-    p.add_argument("--order", type=_count, required=True, help="required regularity order")
+    p.add_argument("--order", type=int, required=True, help="required regularity order")
     common(p)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("demo", help="run a worked example end to end")
     p.add_argument("which", choices=("inverse", "exp", "jordan"))
-    p.add_argument("--seed", type=_count, default=0, help="seed for the random matrix")
+    p.add_argument("--seed", type=int, default=0, help="seed for the random matrix")
     common(p, relative)
     p.set_defaults(func=_cmd_demo)
 
@@ -386,10 +362,18 @@ def _fail(message: str, module: str, code: int) -> int:
     return code
 
 
+# the options argparse only converts, held to the library's rules before any file is read:
+# a threshold, and the counts that regularize's own --order rule does not cover
+_NUMBER_RULES = {"tolerance": as_real, "seed": as_count, "order": as_count}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for option, rule in _NUMBER_RULES.items():
+            if option in args and args.command != "regularize":
+                rule(getattr(args, option), f"--{option}", _MOD)
         return args.func(args)
     except NormBoundError as exc:
         return _fail(str(exc), exc.module, EXIT_NORM)

@@ -5,8 +5,8 @@ error eps when the top-left d x d block of U (ancillas most significant,
 projected onto their all-zero state) is within eps of A in operator norm;
 U is unitary by linalg.as_unitary's rule, to UNITARITY_TOL, checked once
 where it enters (BlockEncoding(...)). The unitaries this package builds
-itself, in dilate and RegularizedEncoding.base, are unitary by construction
-and are not rechecked: the tests hold them to the same rule.
+itself, in dilate and RegularizedEncoding.base, are unitary by construction,
+stored by linalg._built unchecked: the tests hold them to the same rule.
 It is n-regular when the block of U^k is within k*tol + REGULARITY_FLOOR of
 A^k for every k <= n: regularity_profile measures, regularity_order decides.
 """
@@ -18,7 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NormBoundError, ValidationError, as_count, as_real
-from .linalg import MAX_TRUNCATION_ORDER, UNITARITY_TOL, as_unitary, ensure_square, operator_norm
+from .linalg import (
+    MAX_TRUNCATION_ORDER,
+    UNITARITY_TOL,
+    _built,
+    as_unitary,
+    ensure_square,
+    operator_norm,
+)
 
 _MOD = "encoding"
 
@@ -49,17 +56,6 @@ class BlockEncoding:
         return self.unitary.shape[0]
 
 
-def _built(unitary: np.ndarray, ancilla_qubits: int, system_dim: int) -> BlockEncoding:
-    """A BlockEncoding of a unitary this package has just built and nothing else refers
-    to: frozen in place. __post_init__ is skipped, so there is no copy and no U^dag U."""
-    unitary.setflags(write=False)
-    be = object.__new__(BlockEncoding)
-    object.__setattr__(be, "unitary", unitary)
-    object.__setattr__(be, "ancilla_qubits", ancilla_qubits)
-    object.__setattr__(be, "system_dim", system_dim)
-    return be
-
-
 def top_left_block(be: BlockEncoding) -> np.ndarray:
     """The encoded d x d block: ancillas projected onto their all-zero state."""
     d = be.system_dim
@@ -88,7 +84,7 @@ def dilate(a_mat) -> BlockEncoding:
     top_right = (left * complement) @ left.conj().T
     bottom_left = (right_h.conj().T * complement) @ right_h
     u = np.block([[a, top_right], [bottom_left, -a.conj().T]])
-    return _built(u, 1, d)
+    return _built(BlockEncoding, unitary=u, ancilla_qubits=1, system_dim=d)
 
 
 def regularity_profile(be: BlockEncoding, a_mat, k_max: int) -> list[float]:

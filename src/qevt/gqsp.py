@@ -21,8 +21,9 @@ degree-sized grid. Replacing diag(1, z) with the controlled unitary
 diag(I, U) lifts the scalar identity to a block-encoding of P(U) for
 unitary U. That circuit is applied, never formed: the d columns entering
 with the processing qubit at zero are carried through it, and only the
-block they leave in the processing-0 half is returned. The rotations (to
-ROTATION_TOL) and U (to UNITARITY_TOL) are unitary by linalg.as_unitary's rule.
+block they leave in the processing-0 half is returned. Rotations given from
+outside (to ROTATION_TOL) and U (to UNITARITY_TOL) are unitary by
+linalg.as_unitary's rule; synthesize's own rotations are not rechecked.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NormBoundError, NumericalError, ValidationError, _shown, as_array, as_real
-from .linalg import UNITARITY_TOL, PolynomialSpec, as_polynomial, as_unitary
+from .linalg import UNITARITY_TOL, PolynomialSpec, _built, as_polynomial, as_unitary
 
 _MOD = "gqsp"
 
@@ -367,7 +368,8 @@ def synthesize(p) -> GqspSequence:
 
     When sup |P| exceeds the 1 - 1e-6 completion margin, P is rescaled to fit
     and the factor is stored in the returned sequence's ``scale`` field, i.e.
-    the sequence realizes scale * P.
+    the sequence realizes scale * P. The rotations are unitary by construction
+    and are stored read-only without a recheck (see ``linalg._built``).
     """
     p = as_polynomial(p)
     sup = sup_norm_on_circle(p)
@@ -412,7 +414,7 @@ def synthesize(p) -> GqspSequence:
         )
     rotations[n] = ((const_p, -const_q.conjugate()), (const_q, const_p.conjugate()))
     rotations[n] /= closing
-    return GqspSequence(rotations=rotations, scale=scale)
+    return _built(GqspSequence, rotations=rotations, scale=scale)
 
 
 def evaluate_scalar(seq: GqspSequence, z):
@@ -431,7 +433,8 @@ def evaluate_scalar(seq: GqspSequence, z):
 def _grid_residual(seq: GqspSequence, p: PolynomialSpec, grid: int) -> float:
     """max |evaluate_scalar(seq, z) - scale * P(z)| over the grid-th roots of unity."""
     pts = np.exp(1j * (2 * np.pi * np.arange(grid) / grid))
-    error = evaluate_scalar(seq, pts) - seq.scale * _on_circle(p.array, grid)
+    values = _signal_block(seq, lambda v: pts * v, np.ones(grid))  # the points need no check
+    error = values - seq.scale * _on_circle(p.array, grid)
     return float(np.max(np.abs(error)))
 
 

@@ -4,8 +4,9 @@ Matrices are plain two-dimensional ``numpy`` arrays with dtype complex128,
 row-major, with finite entries; these helpers validate and operate on them.
 Throughout the package the norm of a matrix is its operator norm (largest
 singular value), and ``operator_norm`` is the one routine that computes it,
-by SVD; ``as_unitary`` is the one rule for unitary inputs. In every tensor
-product the first factor is the more significant register.
+by SVD; ``as_unitary`` is the one rule for unitary inputs, and ``_built`` the
+one constructor of the objects the package builds, which skips it. In every
+tensor product the first factor is the more significant register.
 """
 
 from __future__ import annotations
@@ -63,6 +64,18 @@ def as_unitary(values, name: str, module: str, *, tol: float, ndim: int = 2) -> 
             raise ValidationError(message, module=module)
     u.setflags(write=False)
     return u
+
+
+def _built(cls, **fields):
+    """A frozen dataclass instance of values this package has just built and nothing else
+    refers to: arrays are made read-only in place and __post_init__ is skipped, so there
+    is no copy and no recheck. The tests hold such objects to the rules inputs pass."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 @dataclass(frozen=True)

@@ -23,9 +23,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .encoding import BlockEncoding, _built
+from .encoding import BlockEncoding
 from .errors import ValidationError, _shown, as_count
-from .linalg import MAX_DENSE_DIM
+from .linalg import MAX_DENSE_DIM, _built
 
 _MOD = "regularize"
 
@@ -78,7 +78,7 @@ class RegularizedEncoding:
         """The dense wrapped encoding (branch shift times I_n tensor U); the source if n = 1.
 
         Built by applying the wrapped unitary to every basis column, up to MAX_DENSE_DIM.
-        It is unitary by construction and is not rechecked (see ``encoding``).
+        It is unitary by construction and is not rechecked (see ``linalg._built``).
         """
         be = self.source
         if self.order == 1:
@@ -90,7 +90,8 @@ class RegularizedEncoding:
         columns = np.eye(dim, dtype=np.complex128).reshape(self.order, be.dim, dim)
         # a fresh array that nothing else holds: apply's product, reordered by the reshape
         unitary = self.apply(columns).reshape(dim, dim)
-        return _built(unitary, self.counter_qubits + be.ancilla_qubits, be.system_dim)
+        a = self.counter_qubits + be.ancilla_qubits
+        return _built(BlockEncoding, unitary=unitary, ancilla_qubits=a, system_dim=be.system_dim)
 
 
 def regularize(be: BlockEncoding, n: int) -> RegularizedEncoding:

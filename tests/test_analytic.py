@@ -138,10 +138,13 @@ class TestRunawayOrder:
         ids=["product-underflows", "reciprocal-overflows", "pole-at-one-ulp"],
     )
     def test_reach_below_the_float_range(self, monkeypatch, c, eps):
-        # 1/((|c| - 1) eps) divides by zero or overflows: an input error, not a bare one
+        # 1/((|c| - 1) eps) divides by zero or overflows: an input error, not a bare one,
+        # from the generic order rule
         monkeypatch.setattr(analytic, "PolynomialSpec", self.built)
-        with pytest.raises(ValidationError, match="is below the float range") as info:
+        with pytest.raises(ValidationError) as info:
             shifted_inverse_plan(c, eps)
+        shown = f"1.0 / ({c - 1.0!r} * {eps!r})"
+        assert str(info.value) == f"m / ((r - 1) * eps) = {shown} is above the float range"
         assert info.value.module == "analytic"
 
     @pytest.mark.parametrize(
@@ -243,16 +246,16 @@ class TestTaylorTruncationOrder:
         # 5e-324 / 1e300 is 0: log(0) is undefined, and the order is 0
         assert taylor_truncation_order(1e300, 5e-324, 1.0) == 0
 
-    def test_consistent_with_shifted_inverse(self):
-        # for f = 1/(c - z): continuation radius |c|, growth set by the pole's
-        # distance eta from the unit disk; the generic order then reproduces
-        # the bespoke geometric-series order
-        c = 2.0
-        eta = c - 1.0
-        for eps in (1e-3, 1e-4, 1e-6):
-            bespoke = shifted_inverse_plan(c, eps).order
-            generic = taylor_truncation_order(c, 1.0 / eta, eps)
-            assert abs(generic - bespoke) <= 1
+    @pytest.mark.parametrize(
+        "c, eps, order",
+        [(2.0, 1e-3, 10), (2.0, 1e-6, 20), (-1.5j, 1e-4, 25), (1.1, 1e-6, 170),
+         (1.05, 1e-6, 345), (1.01, 1e-8, 2315), (1.002, 1e-8, 12330), (1.001, 1e-10, 29949)],
+    )
+    def test_consistent_with_shifted_inverse(self, c, eps, order):
+        # for f = 1/(c - z) the coefficients 1/c^(k+1) are bounded by 1 * |c|^-k:
+        # the generic order at radius |c| and bound 1 is the plan's order
+        assert shifted_inverse_plan(c, eps).order == taylor_truncation_order(abs(c), 1.0, eps)
+        assert taylor_truncation_order(abs(c), 1.0, eps) == order
 
     def test_certifies_grid_error(self):
         # f(z) = 1/(2 - z) extends to |z| < 1.9 with |f| <= 10 there

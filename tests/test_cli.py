@@ -169,23 +169,26 @@ class TestMalformedInputs:
             ("dilate", '{"rows": 1, "cols": 1, "data": [[1' + "0" * 400 + ', 0]]}',
              "non-finite values"),
             ("dilate", '{"rows": true, "cols": 1, "data": [[0, 0]]}',
-             "rows/cols must be positive integers"),
+             "rows must be positive and an integer, got True"),
+            # rows * cols has 4401 digits, past what an error message can format
+            ("dilate", json.dumps({"rows": 10**2200, "cols": 10**2200, "data": [[0, 0]]}),
+             f"rows {10**2200} exceeds the cap 16384"),
             ("regularize", json.dumps({"ancillas": "x", "system_dim": 1, "rows": 2, "cols": 2,
                                        "data": ONE_UNITARY}),
-             "ancillas/system_dim must be integers"),
+             "ancilla count must be nonnegative and an integer, got 'x'"),
             # JSON integer fields take JSON integers only, as rows/cols do
             ("regularize", json.dumps({"ancillas": 1.5, "system_dim": 1, "rows": 2, "cols": 2,
                                        "data": ONE_UNITARY}),
-             "ancillas/system_dim must be integers"),
+             "ancilla count must be nonnegative and an integer, got 1.5"),
             ("regularize", json.dumps({"ancillas": True, "system_dim": 1, "rows": 2, "cols": 2,
                                        "data": ONE_UNITARY}),
-             "ancillas/system_dim must be integers"),
+             "ancilla count must be nonnegative and an integer, got True"),
             ("regularize", json.dumps({"ancillas": "1", "system_dim": 1, "rows": 2, "cols": 2,
                                        "data": ONE_UNITARY}),
-             "ancillas/system_dim must be integers"),
+             "ancilla count must be nonnegative and an integer, got '1'"),
             ("regularize", json.dumps({"ancillas": 1, "system_dim": 1.0, "rows": 2, "cols": 2,
                                        "data": ONE_UNITARY}),
-             "ancillas/system_dim must be integers"),
+             "system dimension must be positive and an integer, got 1.0"),
             ("regularize", json.dumps({"ancillas": 20000, "system_dim": 1, "rows": 2, "cols": 2,
                                        "data": ONE_UNITARY}),
              "unitary dimension 2 != 2^20000 * 1"),
@@ -198,10 +201,10 @@ class TestMalformedInputs:
             ("synthesize", '{"coeffs": [[0.5, 0]]}', "missing field 'coefficients'"),
             ("dilate", "[[0, 0]]", "top-level JSON object expected"),
         ],
-        ids=["data-int", "coefficients-int", "huge-int", "rows-true", "ancillas-string",
-             "ancillas-float", "ancillas-true", "ancillas-digit-string", "system-dim-float",
-             "ancillas-huge", "data-length", "missing-rows", "missing-ancillas",
-             "missing-coefficients", "top-level-list"],
+        ids=["data-int", "coefficients-int", "huge-int", "rows-true", "rows-huge",
+             "ancillas-string", "ancillas-float", "ancillas-true", "ancillas-digit-string",
+             "system-dim-float", "ancillas-huge", "data-length", "missing-rows",
+             "missing-ancillas", "missing-coefficients", "top-level-list"],
     )
     def test_exit_2_with_one_json_line(self, tmp_path, capsys, command, text, message):
         path = tmp_path / "in.json"
@@ -240,6 +243,27 @@ class TestMalformedInputs:
         assert len(lines) == 1
         error = json.loads(lines[0])
         assert error["error"].startswith(f"{path} is not valid JSON: ")
+        assert (error["module"], error["exit"]) == ("cli", 2)
+
+    @pytest.mark.parametrize("case", ["report", "report-is-directory", "output"])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, case):
+        # an input error, not an OSError: exit 1 is the threshold code
+        poly = write_poly(tmp_path / "p.json", [0.5, 0.25])
+        matrix = write_matrix(tmp_path / "a.json", 0.5 * np.eye(2))
+        missing = str(tmp_path / "missing" / "x.json")
+        argv, target = {
+            "report": (["synthesize", "--coeffs", poly, "--report", missing], missing),
+            "report-is-directory": (["transform", matrix, "--coeffs", poly, "--report",
+                                     str(tmp_path)], str(tmp_path)),
+            "output": (["dilate", matrix, missing], missing),
+        }[case]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["error"].startswith(f"cannot write {target}: ")
         assert (error["module"], error["exit"]) == ("cli", 2)
 
 
@@ -632,8 +656,8 @@ class TestUnreadOptions:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "abc"])
-    @pytest.mark.parametrize(
+    # each needs an input file, but the option is refused before any file is read
+    COMMANDS = pytest.mark.parametrize(
         "argv",
         [
             ["synthesize", "--coeffs", "p.json"],
@@ -643,33 +667,35 @@ class TestUnreadOptions:
         ],
         ids=["synthesize", "transform", "verify", "demo"],
     )
-    def test_non_finite_tolerance_is_usage_error(self, argv, value, capsys):
-        # a NaN threshold would fail every comparison: exit 1 whatever the result
-        with pytest.raises(SystemExit) as exc:
-            cli.main([*argv, f"--tolerance={value}"])  # "=" lets "-inf" pass as a value
-        assert exc.value.code == 2
-        assert f"argument --tolerance: finite number expected, got '{value}'" in (
-            capsys.readouterr().err
-        )
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["synthesize", "--coeffs", "p.json"],
-            ["transform", "a.json", "--exp"],
-            ["verify", "u.json", "a.json", "--ancillas", "1", "--order", "1"],
-            ["demo", "jordan"],
-        ],
-        ids=["synthesize", "transform", "verify", "demo"],
-    )
-    def test_negative_tolerance_is_usage_error(self, argv, capsys):
-        # no error is below a negative threshold: exit 1 whatever the result
+    @staticmethod
+    def assert_input_error(argv, message, capsys):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": message, "module": "cli", "exit": 2}
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @COMMANDS
+    def test_non_finite_tolerance_exits_2(self, argv, value, capsys):
+        # a NaN threshold would fail every comparison: exit 1 whatever the result
+        message = f"--tolerance must be nonnegative and finite, got {value}"
+        self.assert_input_error([*argv, f"--tolerance={value}"], message, capsys)  # "=" for "-inf"
+
+    @COMMANDS
+    def test_unparsable_tolerance_is_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
-            cli.main([*argv, "--tolerance=-1"])
+            cli.main([*argv, "--tolerance=abc"])
         assert exc.value.code == 2
-        assert "argument --tolerance: nonnegative number expected, got '-1'" in (
-            capsys.readouterr().err
-        )
+        assert "argument --tolerance: invalid float value: 'abc'" in capsys.readouterr().err
+
+    @COMMANDS
+    def test_negative_tolerance_exits_2(self, argv, capsys):
+        # no error is below a negative threshold: exit 1 whatever the result
+        message = "--tolerance must be nonnegative and finite, got -1.0"
+        self.assert_input_error([*argv, "--tolerance=-1"], message, capsys)
 
     @pytest.mark.parametrize(
         "argv, option",
@@ -679,12 +705,11 @@ class TestUnreadOptions:
         ],
         ids=["seed", "order"],
     )
-    def test_negative_count_is_usage_error(self, argv, option, capsys):
+    def test_negative_count_exits_2(self, argv, option, capsys):
         # a negative seed crashed numpy's generator; a negative order passed as 1
-        with pytest.raises(SystemExit) as exc:
-            cli.main(argv)
-        assert exc.value.code == 2
-        assert f"argument {option}: nonnegative number expected" in capsys.readouterr().err
+        value = argv[-1].split("=")[1]
+        message = f"{option} must be nonnegative and an integer, got {value}"
+        self.assert_input_error(argv, message, capsys)
 
 
 class TestVerifyCommand:

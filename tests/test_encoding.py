@@ -5,8 +5,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qevt import cli, encoding, linalg
-from qevt.analytic import JordanForm, assemble_from_jordan, jordan_block
+from qevt import cli, encoding, gqsp, linalg
+from qevt.analytic import (
+    JordanForm,
+    assemble_from_jordan,
+    exp_plan,
+    jordan_block,
+    shifted_inverse_plan,
+)
 from qevt.encoding import (
     UNITARITY_TOL,
     BlockEncoding,
@@ -20,7 +26,14 @@ from qevt.evt import transform
 from qevt.linalg import as_unitary, operator_norm
 from qevt.regularize import regularize
 
-from helpers import opnorm, random_complex, random_contraction, random_unitary, rng_for
+from helpers import (
+    opnorm,
+    random_complex,
+    random_contraction,
+    random_polynomial,
+    random_unitary,
+    rng_for,
+)
 
 
 class TestBlockEncoding:
@@ -191,8 +204,8 @@ KINDS = ["norm", "tiny", "zero", "rank-deficient", "jordan", "assembled"]
 
 
 class TestBuiltUnitaries:
-    """dilate and RegularizedEncoding.base build their unitaries without rechecking
-    them; these tests hold the built unitaries to the rule an input must pass."""
+    """dilate, RegularizedEncoding.base and synthesize build their unitaries without
+    rechecking them; these tests hold what they build to the rule an input must pass."""
 
     @settings(max_examples=120, deadline=None, derandomize=True, database=None)
     @given(
@@ -217,6 +230,62 @@ class TestBuiltUnitaries:
         # each stores an array of its own; order 1 returns the source itself
         assert not np.shares_memory(be.unitary, a)
         assert (base is be) if order == 1 else not np.shares_memory(base.unitary, be.unitary)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        kind=st.sampled_from(["random", "monomial", "exp", "inverse"]),
+        degree=st.sampled_from(range(201)),  # st.integers draws degree 0 for half the examples
+        sup=st.sampled_from([0.5, 1.0 - gqsp.SUP_MARGIN, 1.2, 1e3]),
+        phase=st.floats(0.0, 2 * np.pi),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(kind="random", degree=200, sup=1.0 - gqsp.SUP_MARGIN, phase=0.0, seed=0)
+    @example(kind="inverse", degree=0, sup=0.5, phase=1.0, seed=0)  # degree 345 at the margin
+    def test_synthesized_rotations_pass_the_input_rule(self, kind, degree, sup, phase, seed):
+        if kind == "random":  # sup |P| below the margin, at it, and rescaled to it
+            p = random_polynomial(rng_for(seed), degree, sup=sup)
+        elif kind == "monomial":  # unimodular on the circle: completes to Q = 0
+            p = np.r_[np.zeros(degree), np.exp(1j * phase)]
+        elif kind == "exp":
+            p = exp_plan(10.0 ** -(1 + degree % 16)).coefficients
+        else:
+            p = shifted_inverse_plan((1.05 + degree / 50) * np.exp(1j * phase), 1e-6).coefficients
+        seq = gqsp.synthesize(p)
+        as_unitary(seq.rotations, "built rotations", "test", tol=gqsp.ROTATION_TOL, ndim=3)
+        assert seq.rotations.shape == (seq.degree + 1, 2, 2)
+        assert not seq.rotations.flags.writeable
+        assert 0.0 < seq.scale <= 1.0
+
+    def test_synthesis_reaches_no_unitarity_check(self, monkeypatch, tmp_path):
+        # synthesize's rotations are built, not checked, through the library and the
+        # command line; a sequence or a signal unitary given from outside still is
+        def fail(*args, **kwargs):
+            raise AssertionError("unitarity checked")
+
+        monkeypatch.setattr(gqsp, "as_unitary", fail)
+        monkeypatch.setattr(linalg, "as_unitary", fail)
+        monkeypatch.chdir(tmp_path)
+        rng = rng_for(17)
+        p = random_polynomial(rng, 6, sup=0.9)
+        seq = gqsp.synthesize(p)
+        for norm in (0.8, 1.5):
+            a = random_contraction(rng, 3, norm)
+            transform(a, p)
+        (tmp_path / "a.json").write_text(cli.emit_json(cli.matrix_payload(a)))
+        (tmp_path / "p.json").write_text(cli.emit_json({"coefficients": p.array}))
+        for argv in (
+            ["synthesize", "--coeffs", "p.json"],
+            ["transform", "a.json", "--coeffs", "p.json"],
+            ["demo", "jordan"],
+        ):
+            assert cli.main([*argv, "--report", "out.json"]) == 0
+        entries = (
+            lambda: gqsp.GqspSequence(np.array(seq.rotations)),
+            lambda: gqsp.apply_to_operator(seq, np.eye(2)),
+        )
+        for entry in entries:
+            with pytest.raises(AssertionError, match="unitarity checked"):
+                entry()
 
     def test_only_inputs_reach_the_unitarity_check(self, monkeypatch, tmp_path):
         def fail(*args, **kwargs):

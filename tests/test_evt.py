@@ -1,11 +1,12 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qevt import cli, encoding
+from qevt import cli
 from qevt.analytic import JordanForm, assemble_from_jordan, shifted_inverse_plan
 from qevt.encoding import BlockEncoding, dilate, top_left_block
 from qevt.errors import NormBoundError, ValidationError
@@ -260,7 +261,8 @@ class TestTransform:
         def refuse(*args, **kwargs):
             raise AssertionError("an encoding was built")
 
-        monkeypatch.setattr(encoding, "_built", refuse)
+        for module in ("qevt.encoding", "qevt.regularize"):  # their bindings of linalg._built
+            monkeypatch.setattr(sys.modules[module], "_built", refuse)
         monkeypatch.setattr(BlockEncoding, "__post_init__", refuse)
         monkeypatch.setattr(RegularizedEncoding, "__post_init__", refuse)
         rng = rng_for(16)
