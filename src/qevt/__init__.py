@@ -43,7 +43,6 @@ from .gqsp import (
 )
 from .linalg import (
     PolynomialSpec,
-    as_matrix,
     as_polynomial,
     ensure_square,
     horner_eval,
@@ -66,7 +65,6 @@ __all__ = [
     "TruncationPlan",
     "ValidationError",
     "apply_to_operator",
-    "as_matrix",
     "as_polynomial",
     "assemble_circuit",
     "assemble_from_jordan",

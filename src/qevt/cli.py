@@ -19,8 +19,8 @@ import sys
 import numpy as np
 
 from . import analytic, encoding, evt, gqsp
-from .errors import NormBoundError, NumericalError, QevtError, ValidationError, as_count, as_real
-from .linalg import MAX_DENSE_DIM, PolynomialSpec, horner_eval, operator_norm
+from .errors import NormBoundError, QevtError, ValidationError, as_count, as_real
+from .linalg import MAX_DENSE_DIM, PolynomialSpec, ensure_square, horner_eval, operator_norm
 from .regularize import regularize as regularize_encoding
 
 _MOD = "cli"
@@ -226,19 +226,11 @@ def _transform_exit(report: evt.TransformReport, tolerance: float) -> int:
 
 
 def _resolve_polynomial(args) -> PolynomialSpec:
-    chosen = [k for k in ("coeffs", "inverse", "exp") if getattr(args, k, None)]
-    if len(chosen) != 1:
-        raise ValidationError(
-            "choose exactly one of --coeffs FILE, --inverse C, --exp", module=_MOD
-        )
-    if args.coeffs:
+    # argparse admits exactly one source; --inverse 0 parses to 0j, which is falsy
+    if args.coeffs is not None:
         return load_polynomial(args.coeffs)
-    if args.inverse:
-        try:
-            c = complex(args.inverse)
-        except ValueError:
-            raise ValidationError(f"cannot parse complex shift '{args.inverse}'", module=_MOD)
-        return analytic.shifted_inverse_plan(c, args.eps).coefficients
+    if args.inverse is not None:
+        return analytic.shifted_inverse_plan(args.inverse, args.eps).coefficients
     return analytic.exp_plan(args.eps).coefficients
 
 
@@ -252,9 +244,7 @@ def _cmd_transform(args) -> int:
 
 def _cmd_verify(args) -> int:
     unitary = load_matrix(args.unitary)
-    target = load_matrix(args.matrix)
-    if target.shape[0] != target.shape[1]:
-        raise ValidationError("target matrix must be square", module=_MOD)
+    target = ensure_square(load_matrix(args.matrix), name="target matrix")
     be = encoding.BlockEncoding(unitary, args.ancillas, target.shape[0])
     errors = encoding.regularity_profile(be, target, max(args.order, 1))
     order = encoding.regularity_order(errors, args.tolerance)
@@ -333,9 +323,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("transform", help="block-encode P(A) and report the achieved error")
     p.add_argument("matrix", help="matrix JSON file")
-    p.add_argument("--coeffs", default=None, help="polynomial JSON file")
-    p.add_argument("--inverse", default=None, metavar="C", help="shifted inverse 1/(c - z)")
-    p.add_argument("--exp", action="store_true", help="scaled exponential e^z / 3")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--coeffs", metavar="FILE", help="polynomial JSON file")
+    source.add_argument("--inverse", type=complex, metavar="C", help="shifted inverse 1/(c - z)")
+    source.add_argument("--exp", action="store_true", help="scaled exponential e^z / 3")
     p.add_argument("--eps", type=float, default=1e-8, help="truncation accuracy for builtins")
     common(p, relative)
     p.set_defaults(func=_cmd_transform)
@@ -357,11 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fail(message: str, module: str, code: int) -> int:
-    sys.stderr.write(emit_json({"error": message, "module": module, "exit": code}) + "\n")
-    return code
-
-
 # the options argparse only converts, held to the library's rules before any file is read:
 # a threshold, and the counts that regularize's own --order rule does not cover
 _NUMBER_RULES = {"tolerance": as_real, "seed": as_count, "order": as_count}
@@ -375,14 +361,11 @@ def main(argv=None) -> int:
             if option in args and args.command != "regularize":
                 rule(getattr(args, option), f"--{option}", _MOD)
         return args.func(args)
-    except NormBoundError as exc:
-        return _fail(str(exc), exc.module, EXIT_NORM)
-    except ValidationError as exc:
-        return _fail(str(exc), exc.module, EXIT_INPUT)
-    except NumericalError as exc:
-        return _fail(str(exc), exc.module, EXIT_NUMERIC)
-    except QevtError as exc:  # safety net: anything else from the library
-        return _fail(str(exc), exc.module, EXIT_NUMERIC)
+    except QevtError as exc:  # a NumericalError, or any other library error, exits 4
+        codes = {NormBoundError: EXIT_NORM, ValidationError: EXIT_INPUT}
+        code = next((c for kind, c in codes.items() if isinstance(exc, kind)), EXIT_NUMERIC)
+        sys.stderr.write(emit_json({"error": str(exc), "module": exc.module, "exit": code}) + "\n")
+        return code
 
 
 if __name__ == "__main__":

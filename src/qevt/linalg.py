@@ -24,13 +24,8 @@ MAX_DENSE_DIM = 2**14  # one complex matrix of this dimension is 4 GiB
 MAX_TRUNCATION_ORDER = 2**20  # 35x the largest documented plan (degree 29949)
 
 
-def as_matrix(values, *, name: str = "matrix") -> np.ndarray:
-    """Coerce to a validated complex matrix (2-D, nonempty, finite): ``as_array``'s rule."""
-    return as_array(values, name, _MOD, ndim=2)
-
-
 def ensure_square(values, *, name: str = "matrix") -> np.ndarray:
-    arr = as_matrix(values, name=name)
+    arr = as_array(values, name, _MOD, ndim=2)
     if arr.shape[0] != arr.shape[1]:
         raise ValidationError(f"{name} must be square, got shape {arr.shape}", module=_MOD)
     return arr
@@ -39,7 +34,7 @@ def ensure_square(values, *, name: str = "matrix") -> np.ndarray:
 def operator_norm(a) -> float:
     """Largest singular value from LAPACK's SVD, which scales internally and forms no
     A^dag A: exact to rounding for finite entries up to the top of the float range."""
-    return float(np.linalg.svd(as_matrix(a), compute_uv=False)[0])
+    return float(np.linalg.svd(as_array(a, "matrix", _MOD, ndim=2), compute_uv=False)[0])
 
 
 def as_unitary(values, name: str, module: str, *, tol: float, ndim: int = 2) -> np.ndarray:

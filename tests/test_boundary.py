@@ -36,7 +36,7 @@ from qevt.gqsp import (
     sup_norm_on_circle,
     synthesize,
 )
-from qevt.linalg import PolynomialSpec, as_matrix, ensure_square, horner_eval, operator_norm
+from qevt.linalg import PolynomialSpec, ensure_square, horner_eval, operator_norm
 from qevt.regularize import RegularizedEncoding, regularize
 
 A = np.diag([0.5, 0.25])
@@ -344,7 +344,6 @@ def test_extreme_scalar_returns_or_raises_a_library_error(call, extreme):
 
 # every public function or validated constructor, one entry per array argument
 ARRAY_ARGUMENTS = {
-    "as_matrix": as_matrix,
     "ensure_square": ensure_square,
     "operator_norm": operator_norm,
     "horner_eval.p": lambda x: horner_eval(x, A),

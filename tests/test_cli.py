@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import pytest
 
 from qevt import cli, gqsp
 from qevt.encoding import BlockEncoding, dilate, regularity_order, regularity_profile
-from qevt.errors import ValidationError
+from qevt.errors import NormBoundError, NumericalError, QevtError, ValidationError
 from qevt.linalg import PolynomialSpec
 from qevt.regularize import regularize
 
@@ -55,6 +56,45 @@ class TestJsonEmission:
     def test_round_trips_as_json(self):
         obj = {"x": [1.5, -2.25e-7], "y": {"z": True, "w": None}, "s": "hi"}
         assert json.loads(cli.emit_json(obj)) == obj
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("kind", [float, np.float64], ids=["float", "float64"])
+    def test_non_finite_scalar_rejected(self, bad, kind):
+        with pytest.raises(ValidationError, match="^cannot serialize non-finite float$") as info:
+            cli.emit_json({"error": kind(bad)})
+        assert info.value.module == "cli"
+
+    @pytest.mark.parametrize("obj, name", [({1}, "set"), (1j, "complex")], ids=["set", "complex"])
+    def test_unknown_type_rejected(self, obj, name):
+        with pytest.raises(ValidationError, match=f"^cannot serialize {name}$") as info:
+            cli.emit_json([obj])
+        assert info.value.module == "cli"
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize(
+        "error, code",
+        [
+            (NormBoundError("raised", module="gqsp"), 3),
+            (ValidationError("raised", module="gqsp"), 2),
+            (NumericalError("raised", module="gqsp"), 4),
+            # the base class is no more specific: the fallback for any other library error
+            (QevtError("raised", module="gqsp"), 4),
+        ],
+        ids=["norm", "validation", "numerical", "base"],
+    )
+    def test_one_json_line_per_library_error(self, tmp_path, capsys, monkeypatch, error, code):
+        def synthesize(poly):
+            raise error
+
+        monkeypatch.setattr(gqsp, "synthesize", synthesize)
+        poly = write_poly(tmp_path / "p.json", [0.5, 0.25])
+        assert cli.main(["synthesize", "--coeffs", poly]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "raised", "module": "gqsp", "exit": code}
 
 
 EDGE_VALUES = (0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1.0, -3.0, 2.0**53, 0.1, 1 / 3)
@@ -582,6 +622,8 @@ class TestTransformCommand:
             (["--inverse", "2", "--eps", "inf"], "eps must be positive and finite, got inf"),
             (["--inverse", "nan"], "the pole c = (nan+0j) must be finite"),
             (["--inverse", "inf"], "the pole c = (inf+0j) must be finite"),
+            # 0 parses to 0j, which is falsy: it must still reach the planner's rule
+            (["--inverse", "0"], "the pole's modulus |c| must exceed 1 and be finite, got 0.0"),
             (["--exp", "--eps", "nan"], "eps must be positive and finite, got nan"),
             (["--exp", "--eps", "inf"], "eps must be positive and finite, got inf"),
             # 2/171! is past the float range: the order cannot be computed
@@ -595,7 +637,7 @@ class TestTransformCommand:
                 "|c|^(N + 1) = 2.0^1025 is above the float range",
             ),
         ],
-        ids=["inverse-eps-nan", "inverse-eps-inf", "inverse-nan", "inverse-inf",
+        ids=["inverse-eps-nan", "inverse-eps-inf", "inverse-nan", "inverse-inf", "inverse-zero",
              "exp-eps-nan", "exp-eps-inf", "exp-eps-below-range", "inverse-power-above-range"],
     )
     def test_non_finite_builtin_exits_2(self, tmp_path, capsys, source, message):
@@ -606,15 +648,47 @@ class TestTransformCommand:
         error = json.loads(captured.err)
         assert error == {"error": message, "module": "analytic", "exit": 2}
 
-    def test_unparseable_shift_exits_2(self, tmp_path, capsys):
+    @staticmethod
+    def assert_usage_error(tmp_path, capsys, source, message):
+        """argparse refuses the polynomial source ("P" names a valid file): no report."""
         matrix = write_matrix(tmp_path / "a.json", 0.5 * np.eye(2))
-        assert cli.main(["transform", matrix, "--inverse", "abc"]) == 2
-        error = json.loads(capsys.readouterr().err)
-        assert error == {"error": "cannot parse complex shift 'abc'", "module": "cli", "exit": 2}
+        poly = write_poly(tmp_path / "p.json", [0.5, 0.25])
+        report = tmp_path / "r.json"
+        argv = ["transform", matrix, *(poly if v == "P" else v for v in source)]
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--report", str(report)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"qevt transform: error: {message}" in captured.err
+        assert not report.exists()
 
-    def test_requires_exactly_one_polynomial_source(self, tmp_path):
-        matrix = write_matrix(tmp_path / "a.json", np.eye(2))
-        assert cli.main(["transform", matrix]) == 2
+    def test_unparseable_shift_exits_2(self, tmp_path, capsys):
+        message = "argument --inverse: invalid complex value: 'abc'"
+        self.assert_usage_error(tmp_path, capsys, ["--inverse", "abc"], message)
+
+    def test_requires_exactly_one_polynomial_source(self, tmp_path, capsys):
+        message = "one of the arguments --coeffs --inverse --exp is required"
+        self.assert_usage_error(tmp_path, capsys, [], message)
+
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            (["--coeffs", "P", "--exp"], "argument --exp: not allowed with argument --coeffs"),
+            # an empty shift was read as no shift: the other source ran and exited 0
+            (["--coeffs", "P", "--inverse", ""], "argument --inverse: invalid complex value: ''"),
+            (["--inverse", "", "--exp"], "argument --inverse: invalid complex value: ''"),
+        ],
+        ids=["coeffs-exp", "coeffs-empty-inverse", "empty-inverse-exp"],
+    )
+    def test_polynomial_source_misuse_is_usage_error(self, tmp_path, capsys, source, message):
+        self.assert_usage_error(tmp_path, capsys, source, message)
+
+    def test_help_shows_one_required_source(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["transform", "-h"])
+        assert exc.value.code == 0
+        assert "(--coeffs FILE | --inverse C | --exp)" in capsys.readouterr().out
 
     def test_byte_identical_reports(self, tmp_path):
         rng = rng_for(6)
@@ -784,7 +858,8 @@ class TestVerifyCommand:
         matrix = write_matrix(tmp_path / "a.json", np.zeros((2, 3)))
         assert cli.main(["verify", unitary, matrix, "--ancillas", "1", "--order", "1"]) == 2
         error = json.loads(capsys.readouterr().err)
-        assert error == {"error": "target matrix must be square", "module": "cli", "exit": 2}
+        message = "target matrix must be square, got shape (2, 3)"
+        assert error == {"error": message, "module": "linalg", "exit": 2}
 
     def test_huge_ancilla_count_exits_2(self, tmp_path, capsys):
         # 2^20000 has more digits than Python formats by default

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qevt.errors import ValidationError
-from qevt.linalg import PolynomialSpec, as_matrix, as_unitary, horner_eval, operator_norm
+from qevt.linalg import PolynomialSpec, as_unitary, ensure_square, horner_eval, operator_norm
 
 from helpers import naive_poly_apply, opnorm, random_complex, random_unitary, rng_for
 
@@ -36,13 +36,13 @@ class TestOperatorNorm:
 
     def test_integer_beyond_float_range_rejected(self):
         with pytest.raises(ValidationError, match="NaN or Inf") as info:
-            as_matrix([[10**400]])
+            ensure_square([[10**400]])
         assert info.value.module == "linalg"
 
     @pytest.mark.parametrize("shape", [(3,), (0, 0)], ids=["vector", "empty"])
     def test_rejects_non_matrix(self, shape):
         with pytest.raises(ValidationError, match=r"nonempty 2-D array, got shape") as info:
-            as_matrix(np.ones(shape))
+            ensure_square(np.ones(shape))
         assert info.value.module == "linalg"
 
     def test_submultiplicative(self):
