@@ -11,6 +11,7 @@ error, 3 norm violation, 4 internal numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -292,6 +293,7 @@ def _cmd_demo(args) -> int:
 # argument parsing
 
 
+@functools.cache  # built once per process: parsing leaves the parser unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qevt",

@@ -49,10 +49,13 @@ class TransformReport:
     ``result_block`` has already been divided by it. Rescaling of the
     matrix itself is absorbed exactly into the synthesized coefficients
     and leaves no residual factor. ``predicted_bound`` is an estimate, not a
-    bound: the synthesis residual sampled on the 1024th roots of unity. The
-    rotations act on A itself, which the dilation encodes exactly, so there
-    is no encoding error to add; ``total_ancillas`` and ``circuit_dim`` count
-    the construction's registers.
+    bound: the synthesis residual, |R - scale * P| / scale for the realized
+    polynomial R multiplied out of the rotations, sampled on the 1024th roots
+    of unity. It leaves out the rounding of the circuit and of the oracle on
+    A, so at low degree it can fall below ``achieved_error``. The rotations
+    act on A itself, which the dilation encodes exactly, so there is no
+    encoding error to add; ``total_ancillas`` and ``circuit_dim`` count the
+    construction's registers.
     """
 
     result_block: np.ndarray
@@ -108,8 +111,9 @@ def transform(a_mat, p) -> TransformReport:
     assemble_circuit's counter-0 argument, the block of the circuit on the
     dilation regularized at order 2^ceil(log2 deg), which is not built. Reports
     the achieved operator-norm error against horner_eval(p, a_mat) with the
-    sampled estimate ``predicted_bound`` (see TransformReport). A norm alpha > 1
-    for which P(alpha z) overflows is a NormBoundError.
+    sampled estimate ``predicted_bound``, which leaves out the rounding of both
+    (see TransformReport). A norm alpha > 1 for which P(alpha z) overflows is
+    a NormBoundError.
     """
     a = ensure_square(a_mat, name="matrix")
     p = as_polynomial(p)

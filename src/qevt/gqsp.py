@@ -15,9 +15,13 @@ monomial's constant factor included), with dense solves at low degree and
 GMRES on FFT correlations above (inexact Newton, no matrix). Each layer is
 stripped by the SU(2) rotation of the pair's leading coefficients alone, on
 Python scalars and two vector updates: no orthogonalization, so rounding
-does not grow from layer to layer. P and Q on roots of unity, on grids that
-grow with the degree, are one FFT each; the sup-norm zooms from a
-degree-sized grid. Replacing diag(1, z) with the controlled unitary
+does not grow from layer to layer. Multiplied back on coefficients, the
+rotations give the realized polynomial: a scalar loop over runs of layers,
+the runs' 2x2 polynomial matrices merged pairwise by FFT products (the
+forward product tree). Every check on roots of unity is one FFT call on
+coefficients (P and Q together, or the realized polynomial minus P), on
+grids that grow with the degree; the sup-norm zooms from a degree-sized
+grid, one product per round. Replacing diag(1, z) with the controlled unitary
 diag(I, U) lifts the scalar identity to a block-encoding of P(U) for
 unitary U. That circuit is applied, never formed: the d columns entering
 with the processing qubit at zero are carried through it, and only the
@@ -49,6 +53,9 @@ KRYLOV_MIN_ORDER = 96
 KRYLOV_FORCING = 1e-4  # a Krylov step stops at this relative linearized residual
 KRYLOV_ITERATIONS = 100  # GMRES iterations allowed per Newton step
 STRIP_TOL = 1e-13  # both leading coefficients below this aborts layer stripping
+# the realized polynomial runs the scalar loop on products of at most FORWARD_LEAF
+# rotations and merges longer ones by FFT: just above 512 the two cost the same
+FORWARD_LEAF = 512
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,9 +80,13 @@ class GqspSequence:
 
 
 def _on_circle(coeffs: np.ndarray, grid: int) -> np.ndarray:
-    """P at the grid-th roots of unity, one FFT of the coefficients folded modulo grid."""
-    folded = np.pad(coeffs, (0, -coeffs.size % grid)).reshape(-1, grid).sum(axis=0)
-    return grid * np.fft.ifft(folded)
+    """Each row of coefficients at the grid-th roots of unity: one FFT call, rows
+    longer than the grid folded modulo grid first."""
+    size = coeffs.shape[-1]
+    if size > grid:
+        padding = [(0, 0)] * (coeffs.ndim - 1) + [(0, -size % grid)]
+        coeffs = np.pad(coeffs, padding).reshape(*coeffs.shape[:-1], -1, grid).sum(axis=-2)
+    return grid * np.fft.ifft(coeffs, grid)
 
 
 def sup_norm_on_circle(p) -> float:
@@ -86,10 +97,11 @@ def sup_norm_on_circle(p) -> float:
     their half-spread over 1 - (pi n / N)^2 / 2. The maximum of f therefore lies at
     most (n s)^2 ||f - c|| / 8 above the nearest of samples spaced s apart. Every grid
     local maximum within that slack of the best sample is zoomed: each round evaluates
-    33 points across every bracket in one Horner call, on the Taylor expansions of P
-    about the brackets' grid points (their coefficients from FFTs), recentres each
-    bracket on its largest value, shrinks it 16x and drops the brackets that can no
-    longer beat the best, until the slack is below rounding.
+    33 points across every bracket on the Taylor expansions of P about the brackets'
+    grid points (their coefficients from FFTs) as one product, the powers u^1..u^19 of
+    the real offsets by one cumulative product and then one sum weighted by the Taylor
+    rows; it recentres each bracket on its largest value, shrinks it 16x and drops the
+    brackets that can no longer beat the best, until the slack is below rounding.
 
     The coefficients are first divided by 2^e, the power of two just above their
     largest real or imaginary part, and the result is multiplied back: exact for
@@ -123,7 +135,8 @@ def sup_norm_on_circle(p) -> float:
     offsets = np.linspace(-1.0, 1.0, 33)
     while centres.size and slack(width) > 2.0**-53 * best:
         points = centres + width * offsets[:, None]
-        values = np.abs(np.polynomial.polynomial.polyval(points, taylor, tensor=False)) ** 2
+        powers = np.cumprod(points[None].repeat(TAYLOR_TERMS - 1, axis=0), axis=0)  # u^1..u^19
+        values = np.abs(taylor[0] + np.einsum("rk,rpk->pk", taylor[1:], powers)) ** 2
         peak = np.argmax(values, axis=0), np.arange(values.shape[1])
         peaks = values[peak]
         best = max(best, float(peaks.max()))
@@ -196,7 +209,10 @@ def _complete(p: PolynomialSpec, sup: float) -> PolynomialSpec:
 
     # |P|^2 + |Q|^2 has bandwidth 2n: 4 (n + 1) points sample it at twice that
     check = max(4096, 1 << (4 * n + 3).bit_length())
-    total = np.abs(_on_circle(p.array, check)) ** 2 + np.abs(_on_circle(q.array, check)) ** 2
+    pair = np.zeros((2, n + 1), dtype=np.complex128)
+    pair[0], pair[1, : q.degree + 1] = p.array, q.array
+    values = _on_circle(pair, check)
+    total = np.abs(values[0]) ** 2 + np.abs(values[1]) ** 2
     residual = float(np.max(np.abs(total - 1.0)))
     if not residual <= 1e-8:
         raise NumericalError(
@@ -420,7 +436,9 @@ def synthesize(p) -> GqspSequence:
 def evaluate_scalar(seq: GqspSequence, z):
     """Top-left entry of R_0 diag(1,z) R_1 ... diag(1,z) R_n at a point or array.
 
-    Runs the circuit kernel with the signal z on one column per point.
+    Runs the circuit kernel with the signal z on one column per point: the
+    points are arbitrary, so there is no FFT to share (``_grid_residual`` has
+    one, on the roots of unity).
     """
     zs = as_array(z, "evaluation points", _MOD)
     if not np.all(np.abs(zs) <= 1.0 + 1e-12):
@@ -431,11 +449,62 @@ def evaluate_scalar(seq: GqspSequence, z):
 
 
 def _grid_residual(seq: GqspSequence, p: PolynomialSpec, grid: int) -> float:
-    """max |evaluate_scalar(seq, z) - scale * P(z)| over the grid-th roots of unity."""
-    pts = np.exp(1j * (2 * np.pi * np.arange(grid) / grid))
-    values = _signal_block(seq, lambda v: pts * v, np.ones(grid))  # the points need no check
-    error = values - seq.scale * _on_circle(p.array, grid)
-    return float(np.max(np.abs(error)))
+    """max |R(z) - scale * P(z)| over the grid-th roots of unity, R the realized polynomial.
+
+    R's coefficients (``_realized``) minus scale * P at the grid points by one
+    FFT, folded modulo grid: no circuit runs per point, so the kernel's own
+    rounding there, about n units in the last place, does not enter it.
+    """
+    error = np.polynomial.polynomial.polysub(_realized(seq.rotations), seq.scale * p.array)
+    return float(np.max(np.abs(_on_circle(error, grid))))
+
+
+def _realized(rotations: np.ndarray) -> np.ndarray:
+    """Coefficients of the top-left entry of R_0 D R_1 D ... D R_n, D = diag(1, z).
+
+    The product ``_signal_block`` forms on points, carried on coefficients by
+    a tree: the halves' 2 x 2 polynomial matrices are multiplied by FFT,
+    T(0..n) = T(0..m-1) D T(m..n), column 0 only at the top; runs of at most
+    FORWARD_LEAF rotations are multiplied by the scalar loop of ``_leaf``.
+    """
+    return _forward(rotations, 1)[0, 0]
+
+
+def _forward(rotations: np.ndarray, columns: int) -> np.ndarray:
+    """(2, columns, k) coefficients of the first columns of R_0 D ... D R_{k-1}."""
+    k = len(rotations)
+    if k <= FORWARD_LEAF:
+        return _leaf(rotations, columns)
+    half = k // 2
+    left = _forward(rotations[:half], 2)
+    right = _forward(rotations[half:], columns)
+    shifted = np.zeros((2, columns, k - half + 1), dtype=np.complex128)  # D times the right half
+    shifted[0, :, :-1], shifted[1, :, 1:] = right
+    size = 1 << (k - 1).bit_length()  # the product has degree k - 1: no coefficient wraps
+    lf, rf = np.fft.fft(left, size), np.fft.fft(shifted, size)
+    return np.fft.ifft(lf[:, [0]] * rf[0] + lf[:, [1]] * rf[1])[..., :k]
+
+
+def _leaf(rotations: np.ndarray, columns: int) -> np.ndarray:
+    """``_forward`` by the scalar loop: R_{k-1}'s first columns, then per layer,
+    from the right, the Q row times z and one rotation on Python scalars.
+
+    P's coefficient i is kept at top[i] and Q's at low[k - length + i], so the
+    next layer's P with a zero on top and z Q are top[:length + 1] and
+    low[k - length - 1:], updated in place.
+    """
+    k = len(rotations)
+    top = np.zeros((k, columns), dtype=np.complex128)
+    low = np.zeros((k, columns), dtype=np.complex128)
+    top[0], low[-1] = rotations[-1, :, :columns]
+    for length, ((a, b), (c, d)) in enumerate(rotations[-2::-1].tolist(), start=2):
+        p, q = top[:length], low[k - length :]
+        bq = b * q
+        q *= d
+        q += c * p
+        p *= a
+        p += bq
+    return np.stack([top.T, low.T])
 
 
 def _signal_block(seq: GqspSequence, signal, x: np.ndarray) -> np.ndarray:

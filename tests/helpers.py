@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
 from qevt.errors import ValidationError
-from qevt.gqsp import _signal_block
-from qevt.linalg import PolynomialSpec
+from qevt.gqsp import TAYLOR_TERMS, _signal_block
+from qevt.linalg import PolynomialSpec, as_polynomial
 
 
 def rng_for(seed: int) -> np.random.Generator:
@@ -204,3 +205,43 @@ def reference_pairs_to_complex(pairs, what: str) -> np.ndarray:
     if not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
         raise ValidationError(f"{what}: non-finite values", module="cli")
     return arr
+
+
+def reference_sup(p) -> float:
+    """``gqsp.sup_norm_on_circle`` with each zoom round evaluated by ``polyval``'s
+    Horner passes over the Taylor rows: the reference for the batched zoom."""
+    p = as_polynomial(p)
+    parts = p.array.view(np.float64)
+    exponent = math.frexp(float(np.max(np.abs(parts))))[1]
+    coeffs = np.ldexp(parts, -exponent).view(np.complex128)
+    n = p.degree
+    grid = 1 << (8 * n + 7).bit_length()
+    step = 2 * np.pi / grid
+    orders = np.arange(TAYLOR_TERMS)
+    factorials = np.cumprod(np.maximum(orders, 1), dtype=float)[:, None]
+    terms = coeffs * (1j * step * np.arange(n + 1)) ** orders[:, None] / factorials
+    taylor = grid * np.fft.ifft(terms, grid)
+    values = np.abs(taylor[0]) ** 2
+    best = float(values.max())
+    deviation = 0.5 * (best - float(values.min())) / (1.0 - 0.5 * (np.pi * n / grid) ** 2)
+
+    def slack(spacing: float) -> float:
+        return (n * spacing * step) ** 2 * deviation / 8.0
+
+    local = (values >= np.roll(values, 1)) & (values >= np.roll(values, -1))
+    taylor = taylor[:, local & (values + slack(1.0) >= best)]
+    centres = np.zeros(taylor.shape[1])
+    width = 1.0
+    offsets = np.linspace(-1.0, 1.0, 33)
+    while centres.size and slack(width) > 2.0**-53 * best:
+        points = centres + width * offsets[:, None]
+        values = np.abs(np.polynomial.polynomial.polyval(points, taylor, tensor=False)) ** 2
+        peak = np.argmax(values, axis=0), np.arange(values.shape[1])
+        peaks = values[peak]
+        best = max(best, float(peaks.max()))
+        width /= 16.0
+        keep = peaks + slack(width) >= best
+        centres = points[peak][keep]
+        taylor = taylor[:, keep]
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(math.sqrt(best), exponent))

@@ -786,6 +786,25 @@ class TestUnreadOptions:
         self.assert_input_error(argv, message, capsys)
 
 
+class TestParserReuse:
+    def test_one_parser_serves_every_call(self, tmp_path, capsys):
+        # the parser is built once per process; a usage error in between
+        # leaves it parsing the next commands as a fresh one would
+        assert cli.build_parser() is cli.build_parser()
+        a = random_contraction(rng_for(8), 2, 0.8)
+        matrix = write_matrix(tmp_path / "a.json", a)
+        unitary = tmp_path / "u.json"
+        assert cli.main(["dilate", matrix, str(unitary)]) == 0
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["dilate", matrix, "--order", "4"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        argv = ["verify", str(unitary), matrix, "--ancillas", "1", "--order", "1"]
+        assert cli.main(argv) == 0
+        summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert summary["order"] >= 1
+
+
 class TestVerifyCommand:
     def test_regularized_encoding_passes(self, tmp_path, capsys):
         a = random_contraction(rng_for(7), 2, 0.8)

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,6 +30,7 @@ from helpers import (
     random_polynomial,
     random_unitary,
     reference_strip,
+    reference_sup,
     rng_for,
 )
 
@@ -90,6 +93,15 @@ class TestSupNormOnCircle:
         scaled = sup_norm_on_circle(p.array * 2.0**power)
         assert scaled == sup_norm_on_circle(p) * 2.0**power
 
+    def test_batched_zoom_matches_polyval_reference(self):
+        # each zoom round is one product of the Taylor rows with the offsets'
+        # powers; the reference runs polyval's Horner passes on the same points
+        rng = rng_for(31)
+        cases = [PolynomialSpec(random_complex(rng, int(rng.integers(1, 402)))) for _ in range(200)]
+        for p in [*cases, PolynomialSpec(near_tie_coefficients())]:
+            want = reference_sup(p)
+            assert abs(sup_norm_on_circle(p) - want) <= 4e-16 * want
+
     def test_coefficients_whose_squares_overflow(self):
         # |P|^2 reaches 4e600, past the float range; the scaled samples do not
         assert sup_norm_on_circle([1e300, 1e300]) == pytest.approx(2e300, rel=1e-15)
@@ -103,6 +115,15 @@ class TestOnCircle:
         pts = circle_grid(grid)
         bound = 1e-13 * np.sum(np.abs(p.array))  # both are sums of 171 rounded terms
         assert np.max(np.abs(gqsp._on_circle(p.array, grid) - p(pts))) <= bound
+
+
+    @pytest.mark.parametrize("grid", [16, 512], ids=["folded", "padded"])
+    def test_rows_evaluated_in_one_call(self, grid):
+        # a stack of rows is a stack of polynomials, each folded or padded as alone
+        rows = random_complex(rng_for(20), (3, 171))
+        got = gqsp._on_circle(rows, grid)
+        for row, values in zip(rows, got):
+            assert np.array_equal(values, gqsp._on_circle(row, grid))
 
 
 class TestComplete:
@@ -555,6 +576,84 @@ class TestEvaluateScalar:
         seq = synthesize(p)
         pts = circle_grid(1024)
         assert np.max(np.abs(evaluate_scalar(seq, pts) - p(pts))) <= 1e-8
+
+
+LEAF = gqsp.FORWARD_LEAF
+
+
+@functools.cache
+def synthesized(degree: int, sup: float) -> tuple[GqspSequence, PolynomialSpec]:
+    """A random polynomial of the degree at the sup-norm, and its sequence."""
+    p = random_polynomial(rng_for(degree), degree, sup=sup)
+    return synthesize(p), p
+
+
+def disk_points(rng, count: int) -> np.ndarray:
+    """Random points of the closed unit disk, a quarter of them on the circle."""
+    radii = np.sqrt(rng.uniform(0.0, 1.0, count))
+    radii[: count // 4] = 1.0
+    return radii * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, count))
+
+
+def perturbed(seq: GqspSequence, layer: int, size: float) -> GqspSequence:
+    """seq with one rotation moved by about size, then made unitary again by its polar factor."""
+    rotations = np.array(seq.rotations)
+    noise = random_complex(rng_for(layer), (2, 2))
+    u, _, vh = np.linalg.svd(rotations[layer] + size * noise)
+    rotations[layer] = u @ vh
+    return GqspSequence(rotations=rotations, scale=seq.scale)
+
+
+class TestRealizedPolynomial:
+    @pytest.mark.parametrize("sup", [0.9, 1.0], ids=["inside", "margin"])
+    @pytest.mark.parametrize("degree", [0, 1, 2, LEAF - 1, LEAF, LEAF + 1, 2 * LEAF + 1, 345, 2315])
+    def test_matches_the_kernel_in_the_disk(self, degree, sup):
+        # the coefficients the tree multiplies out, against the circuit run on points
+        seq, _ = synthesized(degree, sup)
+        self.assert_matches_kernel(seq)
+
+    @pytest.mark.parametrize("c, eps", [(1.05, 1e-6), (1.01, 1e-8)], ids=["345", "2315"])
+    def test_plans_match_the_kernel(self, c, eps):
+        self.assert_matches_kernel(synthesize(shifted_inverse_plan(c, eps).coefficients))
+
+    @staticmethod
+    def assert_matches_kernel(seq):
+        z = disk_points(rng_for(seq.degree + 7), 200)
+        realized = gqsp._realized(seq.rotations)
+        assert realized.shape == (seq.degree + 1,)
+        kernel = gqsp._signal_block(seq, lambda v: z * v, np.ones(z.size))
+        assert np.max(np.abs(np.polynomial.polynomial.polyval(z, realized) - kernel)) <= 1e-13
+
+    @pytest.mark.parametrize("leaf", [1, 2, 3, 7])
+    def test_tree_equals_the_scalar_loop(self, monkeypatch, leaf):
+        # small leaves split every length into odd and even halves down to single layers
+        monkeypatch.setattr(gqsp, "FORWARD_LEAF", leaf)
+        rng = rng_for(32)
+        cases = [np.array([random_unitary(rng, 2) for _ in range(k)]) for k in range(1, 25)]
+        cases.append(np.array(synthesized(40, 0.9)[0].rotations))
+        for rotations in cases:
+            for columns in (1, 2):
+                loop = gqsp._leaf(rotations, columns)
+                assert np.max(np.abs(gqsp._forward(rotations, columns) - loop)) <= 1e-14
+            assert np.array_equal(gqsp._realized(rotations), gqsp._forward(rotations, 1)[0, 0])
+
+    @pytest.mark.parametrize("grid", [64, 100])
+    @pytest.mark.parametrize("offset", [0.0, 1e-3], ids=["realized", "off-by-1e-3"])
+    def test_grid_below_the_degree_folds(self, grid, offset):
+        # 346 coefficients on 64 or 100 points: the residual of the folded
+        # coefficients equals the residual of the circuit run on the points
+        seq = synthesize(shifted_inverse_plan(1.05, 1e-6).coefficients)
+        p = PolynomialSpec(shifted_inverse_plan(1.05, 1e-6).coefficients.array + offset)
+        pts = circle_grid(grid)
+        kernel = gqsp._signal_block(seq, lambda v: pts * v, np.ones(grid))
+        want = np.max(np.abs(kernel - seq.scale * p(pts)))
+        assert abs(gqsp._grid_residual(seq, p, grid) - want) <= 1e-13
+
+    @pytest.mark.parametrize("degree", [16, 2315])
+    def test_one_perturbed_rotation_shows(self, degree):
+        seq, p = synthesized(degree, 0.9)
+        assert gqsp._grid_residual(seq, p, 4096) <= 1e-13
+        assert gqsp._grid_residual(perturbed(seq, degree // 2, 1e-6), p, 4096) > 1e-7
 
 
 class TestApplyToOperator:
