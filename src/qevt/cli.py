@@ -1,9 +1,13 @@
 """Command-line interface with JSON matrix interchange.
 
 Matrices travel as ``{"rows": r, "cols": c, "data": [[re, im], ...]}``
-(row-major), polynomials as ``{"coefficients": [[re, im], ...]}``. All
-reports are emitted deterministically: fixed key order, floats printed
-with 17 significant digits, so identical inputs produce byte-identical
+(row-major), polynomials as ``{"coefficients": [[re, im], ...]}``. A file
+that is an ASCII JSON object whose one array is those pairs is read by
+byte operations and one ``json.loads`` of its numbers (``_fast_payload``),
+with no Python list per entry; any other takes ``json.load``, which alone
+words the errors. All reports are emitted deterministically: fixed key
+order, floats printed with 17 significant digits (zeros as ``0`` and
+``-0`` without formatting), so identical inputs produce byte-identical
 output. Exit codes: 0 success, 1 tolerance threshold exceeded, 2 input
 error, 3 norm violation, 4 internal numerical failure.
 """
@@ -12,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import itertools
 import json
 import math
@@ -43,13 +48,24 @@ def emit_json(obj) -> str:
     """Serialize with stable key order and 17-significant-digit floats.
 
     A numpy array is written as nested lists (one level per axis) of
-    ``[real, imaginary]`` pairs, formatted in one call.
+    ``[real, imaginary]`` pairs in one %-format call. Its template holds the
+    literals ``0`` and ``-0`` at zero parts, which is what ``%.17g`` prints
+    for them, so only the nonzero parts are formatted.
     """
     if isinstance(obj, np.ndarray):
         if not np.all(np.isfinite(obj)):
             raise ValidationError("cannot serialize non-finite float", module=_MOD)
-        values = np.stack([obj.real, obj.imag], axis=-1).ravel().tolist()
-        return _pairs_template(obj.shape) % tuple(values)
+        parts = np.stack([obj.real, obj.imag], axis=-1)
+        zero = parts == 0
+        if zero.any():
+            kinds = np.where(zero, 1 + np.signbit(parts), 0)
+            codes = (3 * kinds[..., 0] + kinds[..., 1]).ravel().tolist()
+            templates = list(map(_PAIR_TEMPLATES.__getitem__, codes))
+            values = parts[~zero]
+        else:
+            templates = [_PAIR_TEMPLATES[0]] * (parts.size // 2)
+            values = parts.ravel()
+        return _nested(templates, obj.shape) % tuple(values.tolist())
     if isinstance(obj, dict):
         inner = ",".join(f"{json.dumps(str(k))}:{emit_json(v)}" for k, v in obj.items())
         return "{" + inner + "}"
@@ -70,11 +86,17 @@ def emit_json(obj) -> str:
     raise ValidationError(f"cannot serialize {type(obj).__name__}", module=_MOD)
 
 
-def _pairs_template(shape) -> str:
-    """%-format string for an array of this shape written as [re, im] pairs."""
-    if not shape:
-        return "[%.17g,%.17g]"
-    return "[" + ",".join([_pairs_template(shape[1:])] * shape[0]) + "]"
+# the template of one [re, im] pair, by the kind of each part: 0 nonzero, 1 zero, 2 minus zero
+_PAIR_TEMPLATES = [f"[{re},{im}]" for re in ("%.17g", "0", "-0") for im in ("%.17g", "0", "-0")]
+
+
+def _nested(items: list[str], shape) -> str:
+    """The strings ``items``, in row-major order, as JSON lists nested along ``shape``."""
+    if len(shape) <= 1:
+        return "[" + ",".join(items) + "]" if shape else items[0]
+    step = math.prod(shape[1:])
+    rows = (_nested(items[k * step : (k + 1) * step], shape[1:]) for k in range(shape[0]))
+    return "[" + ",".join(rows) + "]"
 
 
 def matrix_payload(m: np.ndarray) -> dict:
@@ -82,11 +104,25 @@ def matrix_payload(m: np.ndarray) -> dict:
     return {"rows": int(rows), "cols": int(cols), "data": m.ravel()}
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str, key: str) -> dict:
+    """The file's top-level JSON object.
+
+    A document the fast reader takes comes back with its pairs under ``key``
+    already a complex vector; any other goes through ``json.load`` of the
+    UTF-8 text, as ``open(path, encoding="utf-8")`` reads it, and
+    ``_pairs_to_complex`` later: the one source of error messages.
+    """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except (OSError, UnicodeDecodeError) as exc:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc}", module=_MOD) from None
+    payload = _fast_payload(raw, key)
+    if payload is not None:
+        return payload
+    try:
+        payload = json.load(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
+    except UnicodeDecodeError as exc:
         raise ValidationError(f"cannot read {path}: {exc}", module=_MOD) from None
     except ValueError as exc:  # JSONDecodeError, or an integer literal past Python's digit limit
         raise ValidationError(f"{path} is not valid JSON: {exc}", module=_MOD) from None
@@ -95,8 +131,53 @@ def _load_json(path: str) -> dict:
     return payload
 
 
+def _fast_payload(raw: bytes, key: str) -> dict | None:
+    """The document with the pairs under ``key`` as a complex vector, or None.
+
+    One document shape is taken: ASCII text of a JSON object whose one array,
+    from the first ``[`` to the last ``]``, holds only ``[re, im]`` pairs of
+    finite JSON numbers and sits at ``key``. Byte deletions and counts check
+    the array's brackets and commas; one ``json.loads`` of the array without
+    its inner brackets parses the numbers, so JSON's own grammar decides what
+    is a number, and one more parses the object with ``[]`` in the array's
+    place. Any other document, this reader declines (None) rather than raise.
+    """
+    start, end = raw.find(b"["), raw.rfind(b"]") + 1
+    if start < 0 or end <= start:
+        return None
+    array = raw[start:end]
+    compact = array.translate(None, b" \t\n\r")  # JSON's whitespace
+    skeleton = compact.translate(None, b"0123456789+-.eE")  # a byte no number holds stays
+    pairs = len(skeleton) // 4
+    if (
+        skeleton != b"[" + b"[,]," * (pairs - 1) + b"[,]]"
+        # and no number outside a pair: none after the outer [, around "],[" or before the outer ]
+        or not (compact.startswith(b"[[") and compact.endswith(b"]]"))
+        or compact.count(b"],") != pairs - 1
+        or compact.count(b",[") != pairs - 1
+    ):
+        return None
+    try:
+        numbers = json.loads(b"[" + array.translate(None, b"[]") + b"]")
+        payload = json.loads((raw[:start] + b"[]" + raw[end:]).decode("ascii"))
+        values = np.array(numbers, dtype=np.float64)
+    except (ValueError, OverflowError):  # not JSON; past the digit limit or the float range
+        return None
+    # [] is the only array left, so a list at `key` is where the pairs were
+    if (
+        not isinstance(payload, dict)
+        or type(payload.get(key)) is not list
+        or not np.all(np.isfinite(values))
+    ):
+        return None
+    payload[key] = values.view(np.complex128)
+    return payload
+
+
 def _pairs_to_complex(pairs, what: str) -> np.ndarray:
     """A list of [real, imaginary] pairs of JSON numbers as a complex vector."""
+    if isinstance(pairs, np.ndarray):  # converted by the fast reader
+        return pairs
     bad = ValidationError(f"{what}: entries must be [real, imaginary] pairs", module=_MOD)
     if (
         not isinstance(pairs, list)
@@ -117,7 +198,7 @@ def _pairs_to_complex(pairs, what: str) -> np.ndarray:
 
 
 def load_matrix(path: str) -> np.ndarray:
-    return _matrix_from_payload(_load_json(path), path)
+    return _matrix_from_payload(_load_json(path, "data"), path)
 
 
 def _matrix_from_payload(payload: dict, path: str) -> np.ndarray:
@@ -137,7 +218,7 @@ def _matrix_from_payload(payload: dict, path: str) -> np.ndarray:
 
 
 def load_encoding(path: str) -> encoding.BlockEncoding:
-    payload = _load_json(path)
+    payload = _load_json(path, "data")
     for key in ("ancillas", "system_dim"):
         if key not in payload:
             raise ValidationError(f"{path}: missing field '{key}'", module=_MOD)
@@ -149,7 +230,7 @@ def load_encoding(path: str) -> encoding.BlockEncoding:
 
 
 def load_polynomial(path: str) -> PolynomialSpec:
-    payload = _load_json(path)
+    payload = _load_json(path, "coefficients")
     if "coefficients" not in payload:
         raise ValidationError(f"{path}: missing field 'coefficients'", module=_MOD)
     return PolynomialSpec(_pairs_to_complex(payload["coefficients"], path))

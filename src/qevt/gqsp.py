@@ -335,8 +335,7 @@ def _krylov_step(outer: np.ndarray, error: np.ndarray) -> tuple[np.ndarray, int]
     rhs = _pack(error)
     norm = float(np.linalg.norm(rhs))
     limit = min(KRYLOV_ITERATIONS, rhs.size)
-    basis = np.empty((limit + 1, rhs.size))
-    basis[0] = rhs / norm
+    basis = (rhs / norm)[None]  # grown by doubling: a step uses about ten of its limit + 1 rows
     triangle = np.zeros((limit, limit))
     rotations: list[tuple[float, float]] = []
     projected = [norm]  # the least-squares right-hand side, rotated with the columns
@@ -367,6 +366,8 @@ def _krylov_step(outer: np.ndarray, error: np.ndarray) -> tuple[np.ndarray, int]
         projected.append(-s * projected[k])
         projected[k] *= c
         if beta > 0.0:
+            if k + 1 == len(basis):
+                basis = np.concatenate([basis, np.empty_like(basis)])
             basis[k + 1] = w / beta
         k += 1
     u = np.linalg.solve(triangle[:k, :k], projected[:k]) @ basis[:k]

@@ -190,6 +190,32 @@ def reference_matrix_payload(m: np.ndarray) -> dict:
     return {"rows": int(rows), "cols": int(cols), "data": data}
 
 
+def reference_pairs(a: np.ndarray) -> list:
+    """Reference nesting of an array of any shape as lists of [re, im] float pairs."""
+    if a.ndim == 0:
+        return [float(a.real), float(a.imag)]
+    return [reference_pairs(row) for row in a]
+
+
+def reference_load_json(path: str) -> dict:
+    """Reference reader: ``json.load`` of the file opened as UTF-8 text, an object expected.
+
+    With it in place of ``cli._load_json``, ``cli.load_matrix``,
+    ``load_encoding`` and ``load_polynomial`` read every document through
+    ``cli._pairs_to_complex``: the general path, by which the fast reader is judged.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read {path}: {exc}", module="cli") from None
+    except ValueError as exc:
+        raise ValidationError(f"{path} is not valid JSON: {exc}", module="cli") from None
+    if not isinstance(payload, dict):
+        raise ValidationError(f"{path}: top-level JSON object expected", module="cli")
+    return payload
+
+
 def reference_pairs_to_complex(pairs, what: str) -> np.ndarray:
     """Reference reader of [re, im] pairs: one type check and one complex() per entry."""
     values = []

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qevt import cli, gqsp
 from qevt.encoding import BlockEncoding, dilate, regularity_order, regularity_profile
@@ -20,7 +22,9 @@ from helpers import (
     random_contraction,
     random_unitary,
     reference_emit_json,
+    reference_load_json,
     reference_matrix_payload,
+    reference_pairs,
     reference_pairs_to_complex,
     rng_for,
 )
@@ -105,14 +109,49 @@ def edge_matrix() -> np.ndarray:
     return np.array([[complex(re, im) for im in EDGE_VALUES] for re in EDGE_VALUES])
 
 
+def random_scaled(shape) -> np.ndarray:
+    rng = rng_for(shape[0] * 100 + shape[1])
+    return random_complex(rng, shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+
+
+def regularized_unitary() -> np.ndarray:
+    return np.asarray(regularize(dilate(random_contraction(rng_for(4), 3)), 4).base.unitary)
+
+
+SIGNED_ZEROS = np.array(
+    [
+        [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)],
+        [complex(1.5, -0.0), complex(-0.0, -2.0), complex(0.0, 3e-300), complex(-4.0, 0.0)],
+    ]
+)
+
+# the arrays emit_json writes in one template: matrix payloads are their ravel
+WRITER_ARRAYS = {
+    **{
+        f"random-{r}x{c}": lambda r=r, c=c: random_scaled((r, c))
+        for r, c in [(1, 1), (2, 3), (3, 2), (1, 7), (16, 16)]
+    },
+    "sparse": regularized_unitary,
+    "sparse-payload": lambda: cli.matrix_payload(regularized_unitary())["data"],
+    "dense-payload": lambda: random_complex(rng_for(9), 24 * 24),
+    "zeros": lambda: np.zeros((3, 5), dtype=complex),
+    "signed-zeros": lambda: SIGNED_ZEROS,
+    "signed-zeros-payload": lambda: SIGNED_ZEROS.ravel(),
+    "scalar": lambda: np.array(complex(1.5, -0.0)),
+    "empty": lambda: np.zeros(0, dtype=complex),
+    "empty-rows": lambda: np.zeros((0, 4), dtype=complex),
+    "empty-columns": lambda: np.zeros((2, 0), dtype=complex),
+    "rotations": lambda: np.reshape(
+        gqsp.synthesize(PolynomialSpec([0.3, -0.2j, 0.1 + 0.25j, 0.0, -0.15])).rotations, (5, 4)
+    ),
+}
+
+
 class TestFormatterReference:
-    @pytest.mark.parametrize("shape", [(1, 1), (2, 3), (3, 2), (1, 7), (16, 16)])
-    def test_random_matrices_byte_identical(self, shape):
-        rng = rng_for(shape[0] * 100 + shape[1])
-        m = random_complex(rng, shape) * 10.0 ** rng.integers(-300, 300, size=shape)
-        assert cli.emit_json(cli.matrix_payload(m)) == reference_emit_json(
-            reference_matrix_payload(m)
-        )
+    @pytest.mark.parametrize("name", list(WRITER_ARRAYS))
+    def test_arrays_byte_identical(self, name):
+        a = WRITER_ARRAYS[name]()
+        assert cli.emit_json({"data": a}) == reference_emit_json({"data": reference_pairs(a)})
 
     def test_edge_values_byte_identical(self):
         m = edge_matrix()
@@ -195,6 +234,197 @@ class TestLoaderReference:
         with pytest.raises(ValidationError) as got:
             cli._pairs_to_complex(pairs, "m.json")
         assert str(got.value) == str(want.value)
+
+
+# JSON whitespace between tokens; "\r\n" as the general reader's text mode turns it into "\n"
+WHITESPACE = ["", " ", "\n", "\t", "\r\n", "\n  "]
+FLOAT_EDGE = 2**1024 - 2**970  # the least integer that rounds past the float range
+
+
+def number_texts():
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    near_edge = st.integers(FLOAT_EDGE - 2**60, FLOAT_EDGE + 2**60)
+    return st.one_of(
+        st.integers(-(10**20), 10**20).map(str),
+        finite.map(repr),
+        finite.map(lambda x: f"{x:.17E}"),
+        finite.map(lambda x: f"{x:.3e}"),  # rounds to 1.798e+308 and past, at times
+        near_edge.map(str),
+        near_edge.map(lambda v: str(-v)),
+        st.sampled_from(["0", "-0", "0.0", "-0.0", "0e0", "-0E-0", "1E5", "2e+3", "4.9e-324"]),
+    )
+
+
+# envelope fields the readers ignore; the first two put brackets in strings
+EXTRA_FIELDS = [
+    ("note", '"a [bracketed] note"'),
+    ("closing", '"]"'),
+    ("scale", "1.5e3"),
+    ("flag", "true"),
+    ("none", "null"),
+    ("meta", '{"k": -0.0, "s": "x"}'),
+]
+
+
+@st.composite
+def pair_documents(draw, numbers, key, header):
+    """A JSON object with the number texts as [re, im] pairs under ``key``, the
+    ``header`` fields and some extra ones, in any order and layout; a copy of
+    ``key`` before or after the pairs at times. Returns (text, fast): fast when
+    the document has the one shape the fast reader takes."""
+    gaps = iter(draw(st.lists(st.sampled_from(WHITESPACE), min_size=8 * len(numbers) + 40,
+                              max_size=8 * len(numbers) + 40)))
+    pairs = [f"[{next(gaps)}{re}{next(gaps)},{next(gaps)}{im}{next(gaps)}]"
+             for re, im in zip(numbers[::2], numbers[1::2])]
+    array = f"[{next(gaps)}" + f"{next(gaps)},{next(gaps)}".join(pairs) + f"{next(gaps)}]"
+    extras = draw(st.lists(st.sampled_from(EXTRA_FIELDS), max_size=3, unique=True))
+    fields = draw(st.permutations([*header.items(), *extras, (key, array)]))
+    copy = draw(st.sampled_from([None, "before", "after"]))
+    if copy:  # the last copy of a key is the one JSON keeps
+        spot = fields.index((key, array)) + (copy == "after")
+        fields.insert(spot, (key, draw(st.sampled_from(["5", '"pairs"', "null"]))))
+    body = f",{next(gaps)}".join(f'"{k}"{next(gaps)}:{next(gaps)}{v}' for k, v in fields)
+    fast = copy != "after" and not {"note", "closing"} & {k for k, _ in extras}
+    return f"{{{next(gaps)}{body}{next(gaps)}}}", fast
+
+
+def loaded(loader, path):
+    """What a loader gives for a file: the value's bytes and shape, or the error message."""
+    try:
+        value = loader(path)
+    except ValidationError as exc:
+        return "error", str(exc)
+    if isinstance(value, BlockEncoding):
+        return value.unitary.tobytes(), value.unitary.shape, value.ancilla_qubits, value.system_dim
+    if isinstance(value, PolynomialSpec):
+        return value.array.tobytes(), value.degree
+    return value.tobytes(), value.shape, value.dtype
+
+
+def loaded_by_reference(loader, path):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_load_json", lambda path, key: reference_load_json(path))
+        return loaded(loader, path)
+
+
+def assert_reads_like_reference(path, text, fast, loader, key):
+    path.write_bytes(text.encode("ascii"))
+    want = loaded_by_reference(loader, str(path))
+    assert loaded(loader, str(path)) == want
+    if fast and want[0] != "error":  # a document of the fast shape is taken, not declined
+        assert cli._fast_payload(path.read_bytes(), key) is not None
+
+
+READER_SETTINGS = settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],  # one file, rewritten
+)
+
+
+class TestFastReader:
+    """The fast reader returns what the general one does, bit for bit, or declines."""
+
+    @READER_SETTINGS
+    @given(data=st.data(), count=st.integers(1, 8))
+    def test_matrix_documents(self, tmp_path, data, count):
+        numbers = data.draw(st.lists(number_texts(), min_size=2 * count, max_size=2 * count))
+        rows = data.draw(st.sampled_from([r for r in range(1, count + 1) if count % r == 0]))
+        header = {"rows": str(rows), "cols": str(count // rows)}
+        text, fast = data.draw(pair_documents(numbers, "data", header))
+        assert_reads_like_reference(tmp_path / "m.json", text, fast, cli.load_matrix, "data")
+
+    @READER_SETTINGS
+    @given(data=st.data(), count=st.integers(1, 8))
+    def test_polynomial_documents(self, tmp_path, data, count):
+        numbers = data.draw(st.lists(number_texts(), min_size=2 * count, max_size=2 * count))
+        text, fast = data.draw(pair_documents(numbers, "coefficients", {}))
+        assert_reads_like_reference(
+            tmp_path / "p.json", text, fast, cli.load_polynomial, "coefficients"
+        )
+
+    @READER_SETTINGS
+    @given(data=st.data(), d=st.integers(1, 3), seed=st.integers(0, 2**16))
+    def test_encoding_documents(self, tmp_path, data, d, seed):
+        unitary = dilate(random_contraction(rng_for(seed), d)).unitary
+        style = data.draw(st.sampled_from([repr, "{:.17E}".format, "{:.17g}".format]))
+        numbers = [style(v) for v in unitary.view(float).ravel().tolist()]
+        header = {"ancillas": "1", "system_dim": str(d), "rows": str(2 * d), "cols": str(2 * d)}
+        text, fast = data.draw(pair_documents(numbers, "data", header))
+        assert_reads_like_reference(tmp_path / "u.json", text, fast, cli.load_encoding, "data")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"rows": 1, "cols": 1, "data": [[true, 0]]}',
+            '{"rows": 1, "cols": 1, "data": [[0, null]]}',
+            '{"rows": 1, "cols": 1, "data": [["0.5", 0]]}',
+            '{"rows": 1, "cols": 1, "data": [[NaN, 0]]}',
+            '{"rows": 1, "cols": 1, "data": [[0, -Infinity]]}',
+            '{"rows": 1, "cols": 1, "data": [[1e400, 0]]}',
+            f'{{"rows": 1, "cols": 1, "data": [[{FLOAT_EDGE}, 0]]}}',
+            '{"rows": 2, "cols": 1, "data": [[1, 0], [2]]}',
+            '{"rows": 1, "cols": 1, "data": [[1, 0, 0]]}',
+            '{"rows": 1, "cols": 1, "data": [5, [1, 0]]}',
+            '{"rows": 2, "cols": 1, "data": [[1, 0], 5[, 2]]}',
+            '{"rows": 2, "cols": 1, "data": [[1, 2]5, [3, 4]]}',
+            '{"rows": 1, "cols": 1, "data": [[1, ]0]}',
+            '{"rows": 1, "cols": 1, "data": [[1, 0]5]}',
+            '{"rows": 1, "cols": 1, "data": [[01, 0]]}',
+            '{"rows": 1, "cols": 1, "data": [[1, 0],]}',
+            '{"rows": 1, "cols": 1, "data": []}',
+            '{"rows": [1], "cols": 1, "data": [[1, 0]]}',
+            '{"rows": 1, "cols": 1, "data": [[1, 0]], "data": "x"}',
+            '{"rows": 1, "cols": 1, "data": "[[1, 0]]"}',
+            '{"rows": 1, "cols": 1, "pairs": [[1, 0]]}',
+            '[[1, 0]]',
+            '\ufeff{"rows": 1, "cols": 1, "data": [[1, 0]]}',
+            '{"rows": 1, "cols": 1, "data": [[1, 0]]',
+            '{"rows": 1, "cols": 1, "data": [[1, 0]',
+            '{\r\n "rows": 1,\r\n "cols": 1,\r\n "data": [[1, 0]]\r\n,}',
+        ],
+        ids=["true", "null", "string", "nan", "-infinity", "1e400", "int-past-float-range",
+             "ragged", "pair-of-three", "number-beside-pairs", "number-before-a-pair",
+             "number-joining-two-pairs",
+             "number-after-a-bracket", "number-after-pair",
+             "leading-zero", "trailing-comma", "no-pairs", "second-array", "data-overwritten",
+             "pairs-in-a-string", "pairs-elsewhere", "top-level-array", "utf8-bom",
+             "truncated-object", "truncated-array", "crlf-syntax-error"],
+    )
+    def test_malformed_raise_the_reference_message(self, tmp_path, text):
+        path = tmp_path / "m.json"
+        path.write_bytes(text.encode("utf-8"))
+        want = loaded_by_reference(cli.load_matrix, str(path))
+        assert want[0] == "error"
+        assert loaded(cli.load_matrix, str(path)) == want
+
+    @pytest.mark.parametrize("encoding", ["utf-16", "utf-16-le"])
+    def test_utf16_raises_the_reference_message(self, tmp_path, encoding):
+        path = tmp_path / "m.json"
+        path.write_bytes('{"rows": 1, "cols": 1, "data": [[1, 0]]}'.encode(encoding))
+        want = loaded_by_reference(cli.load_matrix, str(path))
+        assert want[0] == "error"
+        assert loaded(cli.load_matrix, str(path)) == want
+
+    def test_reads_its_own_output_without_the_general_reader(self, tmp_path, monkeypatch):
+        # emit_json's own output of a regularized unitary takes the fast reader: with
+        # json.load, the general reader, raising, both loaders still read it
+        src = write_matrix(tmp_path / "a.json", random_contraction(rng_for(2), 4))
+        assert cli.main(["dilate", src, str(tmp_path / "u.json")]) == 0
+        assert cli.main(["regularize", str(tmp_path / "u.json"), str(tmp_path / "r.json"),
+                         "--order", "8"]) == 0
+
+        def general_reader(*args, **kwargs):
+            raise AssertionError("the general reader ran")
+
+        monkeypatch.setattr(json, "load", general_reader)
+        want = regularize(dilate(cli.load_matrix(src)), 8).base
+        got = cli.load_encoding(str(tmp_path / "r.json"))
+        assert got.unitary.tobytes() == np.asarray(want.unitary).tobytes()
+        assert (got.ancilla_qubits, got.system_dim) == (want.ancilla_qubits, want.system_dim)
+        assert cli.load_matrix(str(tmp_path / "r.json")).tobytes() == got.unitary.tobytes()
 
 
 class TestMalformedInputs:
